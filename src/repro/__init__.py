@@ -18,6 +18,10 @@ between them:
   baselines of Section 6;
 * :mod:`repro.gen` — random generators for property tests and benchmarks.
 
+Every subpackage and re-exported name loads on first use (PEP 562; see
+:mod:`repro._lazy`), so ``import repro`` is cheap and a cached
+``repro-gradual run`` imports neither the oracles nor the front end.
+
 Quickstart::
 
     from repro import surface, lambda_b, translate, lambda_s
@@ -28,34 +32,27 @@ Quickstart::
     print(lambda_s.run(translate.b_to_s(cast_term)))   # runs space-efficiently in λS
 """
 
-from . import (
-    api,
-    core,
-    gen,
-    lambda_b,
-    lambda_c,
-    lambda_s,
-    machine,
-    properties,
-    supercoercions,
-    surface,
-    threesomes,
-    translate,
-)
-from .api import RunConfig, RunResult, resolve_config, run
-from .core import (
-    BOOL,
-    DYN,
-    INT,
-    STR,
-    UNIT,
-    BaseType,
-    FunType,
-    Label,
-    ProdType,
-    Type,
-    label,
-)
+from ._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "api": ("RunConfig", "RunResult", "resolve_config", "run"),
+    "core.labels": ("Label", "label"),
+    "core.types": ("BOOL", "DYN", "INT", "STR", "UNIT", "BaseType", "FunType",
+                   "ProdType", "Type"),
+}, submodules=(
+    "api",
+    "core",
+    "gen",
+    "lambda_b",
+    "lambda_c",
+    "lambda_s",
+    "machine",
+    "properties",
+    "supercoercions",
+    "surface",
+    "threesomes",
+    "translate",
+))
 
 __version__ = "0.7.0"
 

@@ -46,13 +46,8 @@ from .core.fuel import (
 from .core.labels import Label
 from .core.terms import Term
 from .core.types import Type
-from .lambda_b import reduction as reduction_b
-from .lambda_c import reduction as reduction_c
-from .lambda_s import reduction as reduction_s
-from .machine import run_on_machine
 from .obs.metrics import phase, record_run
 from .semantics import SEMANTICS_NAMES
-from .translate import b_to_c, c_to_s
 
 #: The four execution engines: the stack bytecode VM, the register VM
 #: (packed-stream dispatch over the register IR — the fastest engine), the
@@ -268,7 +263,7 @@ def _from_machine_outcome(outcome, ty, calculus: str, engine: str,
                           mediator: str = "coercion",
                           config: RunConfig | None = None,
                           cache_status: str | None = None) -> RunResult:
-    """Map a :class:`~repro.machine.cek.MachineOutcome` (machine or VM) to a
+    """Map a :class:`~repro.machine.MachineOutcome` (machine or VM) to a
     :class:`RunResult` — one code path so the outcome shapes stay uniform."""
     steps = (outcome.stats or {}).get("steps", 0)
     if outcome.is_value:
@@ -329,10 +324,6 @@ def run(source_or_term, config: RunConfig | None = None, *,
 
 def _run_source(source: str, cfg: RunConfig, opcode_counts: dict | None) -> RunResult:
     """The source path: warm-cache fast path, else front end + term path."""
-    # Late import both ways: interp imports this module for the shims, and
-    # the front end stays monkeypatchable at ``interp.compile_source``.
-    from .surface import interp
-
     metrics = cfg.metrics
     if cfg.cache:
         from .compiler.cache import cache_lookup
@@ -358,10 +349,16 @@ def _run_source(source: str, cfg: RunConfig, opcode_counts: dict | None) -> RunR
             return _from_machine_outcome(outcome, image.info.static_type, "S",
                                          cfg.engine, cfg.semantics, config=cfg,
                                          cache_status="hit")
-        term, ty = interp.compile_source(source, metrics)
-        return _run_term(term, ty, cfg, source_hash, opcode_counts)
+    else:
+        source_hash = None
+    # Imported on a miss only: a cache hit never runs the front end.  The
+    # late import also breaks the cycle (interp imports this module for its
+    # shims) and keeps the front end monkeypatchable at
+    # ``interp.compile_source``.
+    from .surface import interp
+
     term, ty = interp.compile_source(source, metrics)
-    return _run_term(term, ty, cfg, None, opcode_counts)
+    return _run_term(term, ty, cfg, source_hash, opcode_counts)
 
 
 def _run_term(term: Term, ty: Type | None, cfg: RunConfig,
@@ -414,12 +411,19 @@ def _run_term(term: Term, ty: Type | None, cfg: RunConfig,
                                      config=cfg, cache_status=cache_status)
 
     if engine == "machine":
+        from .machine import run_on_machine
+
         # run_on_machine validates the calculus × semantics combination.
         with phase(metrics, "run"):
             outcome = run_on_machine(term, calculus, fuel, mediator=semantics)
         record_run(metrics, outcome.kind, outcome.stats, engine)
         return _from_machine_outcome(outcome, ty, calculus, engine, semantics,
                                      config=cfg)
+
+    from .lambda_b import reduction as reduction_b
+    from .lambda_c import reduction as reduction_c
+    from .lambda_s import reduction as reduction_s
+    from .translate import b_to_c, c_to_s
 
     with phase(metrics, "run"):
         if calculus == "B":

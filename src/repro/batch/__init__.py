@@ -17,11 +17,11 @@ compile/load/run timings, cache status), followed by aggregated shard
 statistics.  ``repro-gradual batch`` renders them as JSON-lines.
 """
 
-from .runner import (
-    aggregate_results,
-    discover_programs,
-    run_batch,
-)
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "runner": ("aggregate_results", "discover_programs", "run_batch"),
+})
 
 __all__ = [
     "aggregate_results",

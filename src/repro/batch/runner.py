@@ -282,7 +282,8 @@ def run_batch(
             on_result(result)
 
     if trace_sink is not None:
-        from ..obs.trace import Tracer, activate, deactivate
+        from ..obs.trace import activate, deactivate
+        from ..obs.tracer import Tracer
 
         tracer = Tracer(trace_sink)
         activate(tracer)

@@ -49,10 +49,12 @@ Installed as ``repro-gradual``.  Subcommands:
 
 Exit codes (uniform across subcommands): **0** — the program ran to a value
 (or the subcommand succeeded); **1** — evaluation allocated blame; **2** — a
-static error (file not found, parse error, ill-typed program, bad
-engine/calculus/mediator combination, unreadable image); **3** — evaluation
-timed out (fuel exhausted).  ``batch`` reports the most severe per-program
-outcome: static error (2), then timeout (3), then blame (1), then value (0).
+static error (file not found, source not UTF-8, parse error, ill-typed
+program, bad engine/calculus/mediator combination, unreadable image);
+**3** — evaluation timed out (fuel exhausted); **70** — internal error (any
+other failure, such as the recursion limit on a deeply nested program).
+``batch`` reports the most severe per-program outcome: static error (2),
+then timeout (3), then blame (1), then value (0).
 Errors are single-line diagnostics on stderr carrying source locations when
 the front end provides them.
 
@@ -70,21 +72,23 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core.errors import ParseError, ReproError, TypeCheckError
-from .core.pretty import term_to_str
-from .gen.programs import even_odd_boundary
-from .machine import run_on_machine
+# Only what a cached ``run`` executes is imported here; the front end, the
+# translations and the generators load inside the subcommands that use them.
 from .api import run
+from .core.errors import ParseError, ReproError, TypeCheckError
 from .semantics import NATURAL_SEMANTICS_NAMES, SEMANTICS_NAMES
-from .surface.cast_insertion import elaborate_program
-from .surface.parser import parse_program
-from .translate import b_to_c, b_to_s
 
 #: The uniform exit-code scheme (documented in ``--help`` and the README).
 EXIT_VALUE = 0
 EXIT_BLAME = 1
 EXIT_STATIC_ERROR = 2
 EXIT_TIMEOUT = 3
+#: Any failure that is not one of the outcomes above — a bug in the toolchain
+#: rather than in the program (``EX_SOFTWARE`` of BSD ``sysexits.h``).
+EXIT_INTERNAL_ERROR = 70
+
+_EXIT_CODES_EPILOG = ("exit codes: 0 value, 1 blame, 2 static/parse error, 3 timeout, "
+                      "70 internal error")
 
 _OUTCOME_EXIT_CODES = {"value": EXIT_VALUE, "blame": EXIT_BLAME, "timeout": EXIT_TIMEOUT}
 
@@ -111,9 +115,19 @@ def _resolve_semantics(args: argparse.Namespace) -> str | None:
                                emit=emit, conflict="error")
 
 
+def _read_source(path: str) -> str:
+    """The text of the source file ``path``; bytes that are not UTF-8 are a
+    static error naming the first offending byte, not a decode traceback."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReproError(f"{path} is not valid UTF-8 (byte {exc.start})") from None
+
+
 def _load_program(path: str):
-    source = Path(path).read_text()
-    return parse_program(source)
+    from .surface.parser import parse_program
+
+    return parse_program(_read_source(path))
 
 
 def _is_image(path: str) -> bool:
@@ -261,7 +275,7 @@ def _maybe_tracing(trace_path: str | None, program: str):
 def _cmd_run(args: argparse.Namespace) -> int:
     if _is_image(args.file):
         return _run_image(args)
-    source = Path(args.file).read_text()
+    source = _read_source(args.file)
     engine = "subst" if args.small_step else (args.engine or "machine")
     counts: dict | None = None
     if args.profile:
@@ -325,7 +339,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             text += "\n" + disassemble_registers(image.rcode)
         print(text)
         return EXIT_VALUE
-    source = Path(args.file).read_text()
+    from .surface.cast_insertion import elaborate_program
+    from .surface.parser import parse_program
+
+    source = _read_source(args.file)
     term, ty = elaborate_program(parse_program(source))
     code = compile_term(term, mediator=_resolve_semantics(args) or "coercion",
                         opt_level=args.opt_level)
@@ -436,7 +453,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         format_trail,
     )
 
-    source = Path(args.file).read_text()
+    source = _read_source(args.file)
     engine = args.engine or "machine"
     collector = ListSink()
     sink = collector
@@ -484,6 +501,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .surface.cast_insertion import elaborate_program
+
     program = _load_program(args.file)
     _, ty = elaborate_program(program)  # TypeCheckError propagates to main()
     print(f"well typed : {ty}")
@@ -491,6 +510,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    from .core.pretty import term_to_str
+    from .surface.cast_insertion import elaborate_program
+    from .translate import b_to_c, b_to_s
+
     program = _load_program(args.file)
     term, _ = elaborate_program(program)
     if args.to == "b":
@@ -503,6 +526,9 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_space(args: argparse.Namespace) -> int:
+    from .gen.programs import even_odd_boundary
+    from .machine import run_on_machine
+
     n = args.n
     print(f"even/odd boundary workload, n = {n}")
     print(f"{'calculus':>8} {'pending frames':>16} {'pending size':>14} {'kont depth':>12} {'steps':>10}")
@@ -538,7 +564,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else:
             files = [path]
         for file in files:
-            programs.append((str(file), file.read_text()))
+            programs.append((str(file), _read_source(str(file))))
     if args.generate:
         from .gen import generate_corpus
 
@@ -581,13 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-gradual",
         description="Gradually typed language toolchain from 'Blame and Coercion' (PLDI 2015).",
-        epilog="exit codes: 0 value, 1 blame, 2 static/parse error, 3 timeout",
+        epilog=_EXIT_CODES_EPILOG,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser(
         "run", help="run a gradual program",
-        epilog="exit codes: 0 value, 1 blame, 2 static/parse error, 3 timeout",
+        epilog=_EXIT_CODES_EPILOG,
     )
     run_parser.add_argument("file")
     # Defaults are resolved in _cmd_run (None = not passed), so running a
@@ -636,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = sub.add_parser(
         "trace", help="run a program with mediator tracing and show the trace",
-        epilog="exit codes: 0 value, 1 blame, 2 static/parse error, 3 timeout",
+        epilog=_EXIT_CODES_EPILOG,
     )
     trace_parser.add_argument("file")
     trace_parser.add_argument("--calculus", choices=["B", "C", "S", "b", "c", "s"],
@@ -843,7 +869,10 @@ def main(argv: list[str] | None = None) -> int:
     line/column), type errors (which carry source locations), and invalid
     engine/calculus/mediator combinations — are caught uniformly here and
     reported as one-line diagnostics on stderr with exit code 2.  Dynamic
-    outcomes (blame = 1, timeout = 3) are exit codes, not exceptions.
+    outcomes (blame = 1, timeout = 3) are exit codes, not exceptions.  Any
+    other exception (say, a ``RecursionError`` on a deeply nested program)
+    is an internal error: a one-line diagnostic and exit code 70, so that
+    exit code 1 always means blame.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -861,6 +890,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATIC_ERROR
+    except Exception as exc:  # noqa: BLE001 - exit 1 must mean blame only
+        import traceback
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} "
+              f"(at {Path(where.filename).name}:{where.lineno})", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

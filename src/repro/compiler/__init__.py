@@ -21,56 +21,26 @@ the machine and the substitution reducers and compares observables.
 
 from __future__ import annotations
 
-from .bytecode import (
-    SUPERINSTRUCTIONS,
-    CodeObject,
-    ConstantPool,
-    all_code_objects,
-    opcode_fingerprint,
-)
-from .cache import CacheOutcome, cache_path, cached_compile, default_cache_dir
-from .disasm import (
-    disassemble,
-    disassemble_image,
-    disassemble_registers,
-    instruction_streams,
-    parse_disassembly,
-    parse_register_disassembly,
-    register_streams,
-)
-from .lower import lower_program
-from .opt import DEFAULT_OPT_LEVEL, OPT_LEVELS, hot_pairs, optimize
-from .regalloc import RCode, all_rcodes, compile_registers, register_fingerprint
-from .rvm import (
-    RVM,
-    THE_RVM,
-    RClosure,
-    compile_term_registers,
-    run_on_rvm,
-    run_rcode,
-)
-from .serialize import (
-    FORMAT_VERSION,
-    GRADB_MAGIC,
-    GRADB_SUFFIX,
-    ImageError,
-    ImageInfo,
-    LoadedImage,
-    deserialize_image,
-    load_image,
-    save_image,
-    serialize_image,
-    source_fingerprint,
-)
-from .vm import (
-    DEFAULT_VM_FUEL,
-    THE_VM,
-    VM,
-    VMClosure,
-    compile_term,
-    run_code,
-    run_on_vm,
-)
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "bytecode": ("SUPERINSTRUCTIONS", "CodeObject", "ConstantPool", "all_code_objects",
+                 "opcode_fingerprint"),
+    "cache": ("CacheOutcome", "cache_path", "cached_compile", "default_cache_dir"),
+    "disasm": ("disassemble", "disassemble_image", "disassemble_registers",
+               "instruction_streams", "parse_disassembly", "parse_register_disassembly",
+               "register_streams"),
+    "lower": ("lower_program",),
+    "opt": ("DEFAULT_OPT_LEVEL", "OPT_LEVELS", "hot_pairs", "optimize"),
+    "regalloc": ("RCode", "all_rcodes", "compile_registers", "register_fingerprint"),
+    "rvm": ("RVM", "THE_RVM", "RClosure", "compile_term_registers", "run_on_rvm",
+            "run_rcode"),
+    "serialize": ("FORMAT_VERSION", "GRADB_MAGIC", "GRADB_SUFFIX", "ImageError",
+                  "ImageInfo", "LoadedImage", "deserialize_image", "load_image",
+                  "save_image", "serialize_image", "source_fingerprint"),
+    "vm": ("DEFAULT_VM_FUEL", "THE_VM", "VM", "VMClosure", "compile_term", "run_code",
+           "run_on_vm"),
+})
 
 __all__ = [
     "CodeObject",

@@ -305,6 +305,24 @@ class ConstantPool:
         self.codes.append(code)
         return len(self.codes) - 1
 
+    def mediator_tables(self, policy) -> tuple[list, list]:
+        """Pool-parallel ``(actions, sizes)`` of the mediator entries, cached.
+
+        The action of applying a pool mediator to a non-proxy value is fixed
+        per entry, so the VMs' hot loops can answer it with a list index
+        instead of the policy's isinstance ladder.  Recomputed if the pool
+        grew (it never does after optimization, but the guard keeps
+        staleness impossible).
+        """
+        tables = getattr(self, "_vm_tables", None)
+        if tables is None or len(tables[0]) != len(self.coercions):
+            tables = (
+                [policy.classify(c) for c in self.coercions],
+                [policy.size(c) for c in self.coercions],
+            )
+            self._vm_tables = tables
+        return tables
+
 
 class CodeObject:
     """One compiled function body (or the program's top level).
@@ -355,6 +373,16 @@ class CodeObject:
             f"<code {self.name}: {len(self.instructions)} instrs, "
             f"{self.n_free} free, {self.n_locals} locals>"
         )
+
+
+def fix_apply_code() -> CodeObject:
+    """The built-in unrolling step ``(fix V) W → (V (fix V-wrapper)) W``.
+
+    Locals: ``[functional, wrapper, argument]``.  The final ``TAILCALL``
+    reuses the frame, so fix unrolling itself costs no stack.
+    """
+    instructions = [(LOAD, 0), (LOAD, 1), (CALL, 0), (LOAD, 2), (TAILCALL, 0)]
+    return CodeObject("<fix-apply>", instructions, ConstantPool(), 0, 3, None, ("V", "wrap", "arg"))
 
 
 def all_code_objects(code: CodeObject) -> list[CodeObject]:

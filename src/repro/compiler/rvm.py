@@ -50,11 +50,18 @@ from __future__ import annotations
 from ..core.errors import EvaluationError
 from ..core.fuel import DEFAULT_VM_FUEL
 from ..core.terms import Term
-from ..machine.cek import MachineOutcome
-from ..machine.policy import MachineBlame
+from ..machine.policy import MachineBlame, project_pair
 from ..machine.profiler import MachineStats
-from ..machine.values import MConst, MFixWrap, MFunctionValue, MPair, MProxy
+from ..machine.values import (
+    MachineOutcome,
+    MConst,
+    MFixWrap,
+    MFunctionValue,
+    MPair,
+    MProxy,
+)
 from ..obs.trace import current_tracer
+from .bytecode import fix_apply_code
 from .opt import DEFAULT_OPT_LEVEL
 from .regalloc import (
     R_BLAME,
@@ -92,7 +99,6 @@ from .regalloc import (
     _convert_code,
 )
 from ..semantics import policy_for
-from .vm import _make_fix_apply_code, _pool_tables, _project
 
 
 class RClosure(MFunctionValue):
@@ -113,7 +119,7 @@ def _make_fix_rcode(opt_level: int) -> RCode:
     TAILCALL r3, r2`` — registers ``[V, wrap, arg, tmp]``), converted from
     the stack VM's fix-apply stack code so the two engines unroll
     identically.  ``opt_level=2`` gives the call sites inline-cache cells."""
-    stack_code = _make_fix_apply_code()
+    stack_code = fix_apply_code()
     stack_code.opt_level = opt_level
     return _convert_code(stack_code, stack_code.pool)
 
@@ -216,7 +222,7 @@ class RVM:
         pending = None  # the frame's single pending result coercion
         caches = code.caches  # per-site inline-cache cells (None below -O2)
         stats.inline_caches = caches is not None
-        co_actions, co_sizes = _pool_tables(pool, policy)
+        co_actions, co_sizes = pool.mediator_tables(policy)
         fix_code = _fix_rcode_o2_for_run() if caches is not None else _RFIX_APPLY
         fix_stream = fix_code.stream
         # (fix V)'s unrolling is deterministic — the language is pure — so
@@ -1008,7 +1014,7 @@ class RVM:
                     pc += 4
                 elif op == FST or op == SND:
                     # [op, dst, src]
-                    regs[stream[pc + 1]] = _project(
+                    regs[stream[pc + 1]] = project_pair(
                         regs[stream[pc + 2]], op == FST, policy
                     )
                     pc += 3

@@ -67,10 +67,16 @@ from __future__ import annotations
 from ..core.errors import EvaluationError
 from ..core.fuel import DEFAULT_VM_FUEL
 from ..core.terms import Term
-from ..machine.cek import MachineOutcome
-from ..machine.policy import MachineBlame, MediationPolicy
+from ..machine.policy import MachineBlame, project_pair
 from ..machine.profiler import MachineStats
-from ..machine.values import MConst, MFixWrap, MFunctionValue, MPair, MProxy
+from ..machine.values import (
+    MachineOutcome,
+    MConst,
+    MFixWrap,
+    MFunctionValue,
+    MPair,
+    MProxy,
+)
 from ..obs.trace import current_tracer
 from .bytecode import (
     BLAME,
@@ -105,7 +111,7 @@ from .bytecode import (
     STORE,
     TAILCALL,
     CodeObject,
-    ConstantPool,
+    fix_apply_code,
 )
 from ..semantics import policy_for
 from .opt import DEFAULT_OPT_LEVEL, optimize
@@ -124,21 +130,11 @@ class VMClosure(MFunctionValue):
         return f"<vm-closure {self.code.name}>"
 
 
-def _make_fix_apply_code() -> CodeObject:
-    """The built-in unrolling step ``(fix V) W → (V (fix V-wrapper)) W``.
-
-    Locals: ``[functional, wrapper, argument]``.  The final ``TAILCALL``
-    reuses the frame, so fix unrolling itself costs no stack.
-    """
-    instructions = [(LOAD, 0), (LOAD, 1), (CALL, 0), (LOAD, 2), (TAILCALL, 0)]
-    return CodeObject("<fix-apply>", instructions, ConstantPool(), 0, 3, None, ("V", "wrap", "arg"))
-
-
-_FIX_APPLY = _make_fix_apply_code()
+_FIX_APPLY = fix_apply_code()
 #: The same unrolling step at ``-O2`` (``LOAD2; CALL; LOAD_TAILCALL``) —
 #: picked when the running program itself carries inline caches, so fix
 #: loops profit from fusion too while ``-O0`` runs stay byte-identical.
-_FIX_APPLY_O2 = optimize(_make_fix_apply_code(), 2)
+_FIX_APPLY_O2 = optimize(fix_apply_code(), 2)
 
 
 def _fix_apply_o2_for_run() -> CodeObject:
@@ -156,35 +152,6 @@ def _fix_apply_o2_for_run() -> CodeObject:
     code.opt_level = template.opt_level
     code.caches = [None] * len(template.instructions)
     return code
-
-
-def _project(value, first: bool, policy: MediationPolicy):
-    """Project a pair (or pair proxy) — mirrors the CEK machine's ``_project``."""
-    if isinstance(value, MPair):
-        return value.left if first else value.right
-    if isinstance(value, MProxy) and policy.is_prod_proxy(value.mediator):
-        left, right = policy.prod_parts(value.mediator)
-        part = left if first else right
-        return policy.apply(_project(value.under, first, policy), part)
-    raise EvaluationError(f"projection of a non-pair value: {value!r}")
-
-
-def _pool_tables(pool: ConstantPool, policy: MediationPolicy) -> tuple[list, list]:
-    """Pool-parallel ``(actions, sizes)`` of the mediator entries, cached.
-
-    The action of applying a pool mediator to a non-proxy value is fixed per
-    entry, so the hot loop can answer it with a list index instead of the
-    policy's isinstance ladder.  Recomputed if the pool grew (it never does
-    after optimization, but the guard keeps staleness impossible).
-    """
-    tables = getattr(pool, "_vm_tables", None)
-    if tables is None or len(tables[0]) != len(pool.coercions):
-        tables = (
-            [policy.classify(c) for c in pool.coercions],
-            [policy.size(c) for c in pool.coercions],
-        )
-        pool._vm_tables = tables
-    return tables
 
 
 class VM:
@@ -243,7 +210,7 @@ class VM:
         caches = code.caches  # per-site inline-cache cells (None below -O2)
         stats.inline_caches = caches is not None
         if caches is not None:
-            co_actions, co_sizes = _pool_tables(pool, policy)
+            co_actions, co_sizes = pool.mediator_tables(policy)
             fix_code = _fix_apply_o2_for_run()
         else:
             co_actions = co_sizes = ()
@@ -650,9 +617,9 @@ class VM:
                     right = stack.pop()
                     stack[-1] = MPair(stack[-1], right)
                 elif op == FST:
-                    stack[-1] = _project(stack[-1], True, policy)
+                    stack[-1] = project_pair(stack[-1], True, policy)
                 elif op == SND:
-                    stack[-1] = _project(stack[-1], False, policy)
+                    stack[-1] = project_pair(stack[-1], False, policy)
                 elif op == BLAME:
                     raise MachineBlame(labels[operand])
                 else:  # pragma: no cover - defensive

@@ -13,82 +13,26 @@ Submodules:
 * :mod:`repro.core.pretty` — pretty printers.
 """
 
-from .env import EMPTY_ENV, TypeEnv
-from .fuel import (
-    DEFAULT_MACHINE_FUEL,
-    DEFAULT_REDUCTION_FUEL,
-    DEFAULT_SUBST_FUEL,
-    DEFAULT_VM_FUEL,
-)
-from .errors import (
-    BlameError,
-    CoercionTypeError,
-    EvaluationError,
-    FuelExhausted,
-    ParseError,
-    ReproError,
-    StuckError,
-    TypeCheckError,
-)
-from .labels import BULLET, Label, LabelSupply, label
-from .ops import OPS, OpSpec, constant_type, op_spec
-from .subtyping import (
-    BOT,
-    BottomType,
-    cast_safe_for,
-    gradual_meet,
-    join,
-    meet,
-    subtype,
-    subtype_naive,
-    subtype_neg,
-    subtype_pos,
-)
-from .terms import (
-    App,
-    Blame,
-    Cast,
-    Coerce,
-    Const,
-    Fix,
-    Fst,
-    If,
-    Lam,
-    Let,
-    Op,
-    Pair,
-    Snd,
-    Term,
-    Var,
-    alpha_equal,
-    const_bool,
-    const_int,
-    const_str,
-    const_unit,
-    erase,
-    free_vars,
-    is_closed,
-    subst,
-    term_size,
-)
-from .types import (
-    BOOL,
-    DYN,
-    GROUND_FUN,
-    GROUND_PROD,
-    INT,
-    STR,
-    UNIT,
-    BaseType,
-    DynType,
-    FunType,
-    ProdType,
-    Type,
-    compatible,
-    ground_of,
-    is_ground,
-    type_height,
-)
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "env": ("EMPTY_ENV", "TypeEnv"),
+    "fuel": ("DEFAULT_MACHINE_FUEL", "DEFAULT_REDUCTION_FUEL", "DEFAULT_SUBST_FUEL",
+             "DEFAULT_VM_FUEL"),
+    "errors": ("BlameError", "CoercionTypeError", "EvaluationError", "FuelExhausted",
+               "ParseError", "ReproError", "StuckError", "TypeCheckError"),
+    "labels": ("BULLET", "Label", "LabelSupply", "label"),
+    "ops": ("OPS", "OpSpec", "constant_type", "op_spec"),
+    "subtyping": ("BOT", "BottomType", "cast_safe_for", "gradual_meet", "join", "meet",
+                  "subtype", "subtype_naive", "subtype_neg", "subtype_pos"),
+    "terms": ("App", "Blame", "Cast", "Coerce", "Const", "Fix", "Fst", "If", "Lam",
+              "Let", "Op", "Pair", "Snd", "Term", "Var", "alpha_equal", "const_bool",
+              "const_int", "const_str", "const_unit", "erase", "free_vars", "is_closed",
+              "subst", "term_size"),
+    "types": ("BOOL", "DYN", "GROUND_FUN", "GROUND_PROD", "INT", "STR", "UNIT",
+              "BaseType", "DynType", "FunType", "ProdType", "Type", "compatible",
+              "ground_of", "is_ground", "type_height"),
+})
 
 __all__ = [
     "EMPTY_ENV",

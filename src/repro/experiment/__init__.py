@@ -15,22 +15,15 @@ Entry points: ``repro-gradual experiment`` (CLI),
 ``benchmarks/bench_blame.py`` (the ``BENCH_blame.json`` artifact).
 """
 
-from .driver import (
-    STRATEGY_BLAME,
-    STRATEGY_NULL,
-    ExperimentConfig,
-    Trail,
-    follow_trail,
-    run_experiment,
-    strategy_for,
-)
-from .inject import Fault, apply_fault, enumerate_faults, sample_faults
-from .lattice import (
-    Binding,
-    ProgramLattice,
-    enumerate_configurations,
-    render_configuration,
-)
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "driver": ("STRATEGY_BLAME", "STRATEGY_NULL", "ExperimentConfig", "Trail",
+               "follow_trail", "run_experiment", "strategy_for"),
+    "inject": ("Fault", "apply_fault", "enumerate_faults", "sample_faults"),
+    "lattice": ("Binding", "ProgramLattice", "enumerate_configurations",
+                "render_configuration"),
+})
 
 __all__ = [
     "Binding",

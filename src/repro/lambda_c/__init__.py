@@ -1,28 +1,17 @@
 """λC — the coercion calculus of Figure 3 (Henglein's coercions with blame)."""
 
-from .coercions import (
-    Coercion,
-    Fail,
-    FunCoercion,
-    Identity,
-    Inject,
-    ProdCoercion,
-    Project,
-    Sequence,
-    check_coercion,
-    coercion_safe_for,
-    coercion_source,
-    coercion_target,
-    height,
-    identity,
-    labels_of,
-    sequence,
-    size,
-)
-from .reduction import run, step, trace
-from .safety import mentioned_labels, term_safe_for
-from .syntax import coercions_in, is_lambda_c_term, is_value
-from .typecheck import check, type_of, well_typed
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "coercions": ("Coercion", "Fail", "FunCoercion", "Identity", "Inject",
+                  "ProdCoercion", "Project", "Sequence", "check_coercion",
+                  "coercion_safe_for", "coercion_source", "coercion_target", "height",
+                  "identity", "labels_of", "sequence", "size"),
+    "reduction": ("run", "step", "trace"),
+    "safety": ("mentioned_labels", "term_safe_for"),
+    "syntax": ("coercions_in", "is_lambda_c_term", "is_value"),
+    "typecheck": ("check", "type_of", "well_typed"),
+})
 
 __all__ = [
     "Coercion",

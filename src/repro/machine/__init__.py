@@ -12,55 +12,47 @@ statistics of the run.
 
 from __future__ import annotations
 
+from .._lazy import attach
 from ..core.errors import UsageError
+from ..core.fuel import DEFAULT_MACHINE_FUEL
 from ..core.terms import Term
-from ..translate import b_to_c, c_to_s
-from .cek import DEFAULT_MACHINE_FUEL, CEKMachine, MachineOutcome
-from .policy import (
-    BLAME_POLICY,
-    COERCION_POLICY,
-    SPACE_POLICY,
-    THREESOME_POLICY,
-    BlamePolicy,
-    CastMediator,
-    CoercionPolicy,
-    MediationPolicy,
-    SpacePolicy,
-    ThreesomePolicy,
-)
-from .profiler import MachineStats
-from .values import (
-    Environment,
-    MachineValue,
-    MClosure,
-    MConst,
-    MFixWrap,
-    MPair,
-    MProxy,
-    machine_value_to_python,
-)
+from .values import MachineOutcome
 
-MACHINE_B = CEKMachine(BLAME_POLICY)
-MACHINE_C = CEKMachine(COERCION_POLICY)
-MACHINE_S = CEKMachine(SPACE_POLICY)
+_export, _listed = attach(__name__, {
+    "cek": ("CEKMachine", "MACHINE_B", "MACHINE_C"),
+    "policy": ("BLAME_POLICY", "COERCION_POLICY", "SPACE_POLICY", "THREESOME_POLICY",
+               "BlamePolicy", "CastMediator", "CoercionPolicy", "MediationPolicy",
+               "SpacePolicy", "ThreesomePolicy"),
+    "profiler": ("MachineStats",),
+    "values": ("Environment", "MachineValue", "MClosure", "MConst", "MFixWrap", "MPair",
+               "MProxy", "machine_value_to_python"),
+})
 
-MACHINES = {"B": MACHINE_B, "C": MACHINE_C, "S": MACHINE_S}
+#: Names backed by the enforcement-semantics registry, resolved on use: the
+#: registry imports this package's submodules, so binding them here at import
+#: time would be circular.  ``MACHINE_S_THREESOME`` and ``MEDIATORS`` remain
+#: importable for compatibility, but the registry is the source of truth.
+_FROM_REGISTRY = ("MACHINE_S", "MACHINES", "MACHINE_S_THREESOME", "MEDIATORS")
 
 
 def __getattr__(name: str):
-    # Backed by the enforcement-semantics registry, resolved lazily: the
-    # registry imports this package's submodules, so a top-level import here
-    # would be circular.  ``MACHINE_S_THREESOME`` and ``MEDIATORS`` remain
-    # importable for compatibility, but the registry is the source of truth.
-    if name == "MACHINE_S_THREESOME":
-        from ..semantics import SEMANTICS
+    if name not in _FROM_REGISTRY:
+        return _export(name)
+    from ..semantics import NATURAL_SEMANTICS_NAMES, SEMANTICS
+    from .cek import MACHINE_B, MACHINE_C
 
-        return SEMANTICS["threesome"].machine
-    if name == "MEDIATORS":
-        from ..semantics import NATURAL_SEMANTICS_NAMES
+    machine_s = SEMANTICS["coercion"].machine
+    globals().update(
+        MACHINE_S=machine_s,
+        MACHINES={"B": MACHINE_B, "C": MACHINE_C, "S": machine_s},
+        MACHINE_S_THREESOME=SEMANTICS["threesome"].machine,
+        MEDIATORS=NATURAL_SEMANTICS_NAMES,
+    )
+    return globals()[name]
 
-        return NATURAL_SEMANTICS_NAMES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__() -> list[str]:
+    return sorted(set(_listed()) | set(_FROM_REGISTRY))
 
 
 def run_on_machine(
@@ -79,6 +71,8 @@ def run_on_machine(
     only have their native cast/coercion form.
     """
     from ..semantics import resolve
+    from ..translate import b_to_c, c_to_s
+    from .cek import MACHINE_B, MACHINE_C
 
     calculus = calculus.upper()
     semantics = resolve(mediator)

@@ -14,10 +14,7 @@ of the continuation — only the λS machine does this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.errors import EvaluationError, FuelExhausted
-from ..core.labels import Label
 from ..core.ops import op_spec
 from ..core.terms import (
     App,
@@ -52,54 +49,26 @@ from .frames import (
     KPairRight,
     KSnd,
 )
-from .policy import MachineBlame, MediationPolicy
+from .policy import (
+    BLAME_POLICY,
+    COERCION_POLICY,
+    MachineBlame,
+    MediationPolicy,
+    project_pair,
+)
 from .profiler import MachineStats
 from .values import (
     Environment,
+    MachineOutcome,
     MachineValue,
     MClosure,
     MConst,
     MFixWrap,
     MPair,
     MProxy,
-    machine_value_to_python,
 )
 
 from ..core.fuel import DEFAULT_MACHINE_FUEL
-
-
-@dataclass(frozen=True)
-class MachineOutcome:
-    """The result of a machine run: a value, blame, or fuel exhaustion."""
-
-    kind: str
-    value: MachineValue | None = None
-    label: Label | None = None
-    stats: dict | None = None
-
-    @property
-    def is_value(self) -> bool:
-        return self.kind == "value"
-
-    @property
-    def is_blame(self) -> bool:
-        return self.kind == "blame"
-
-    @property
-    def is_timeout(self) -> bool:
-        return self.kind == "timeout"
-
-    def python_value(self) -> object:
-        if not self.is_value:
-            raise EvaluationError(f"machine outcome is {self.kind}, not a value")
-        return machine_value_to_python(self.value)
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_value:
-            return f"value {self.python_value()!r}"
-        if self.is_blame:
-            return f"blame {self.label}"
-        return "timeout"
 
 
 class CEKMachine:
@@ -246,9 +215,9 @@ class CEKMachine:
                 elif isinstance(frame, KPairRight):
                     value = MPair(frame.left, value)
                 elif isinstance(frame, KFst):
-                    value = self._project(value, first=True)
+                    value = project_pair(value, True, self.policy)
                 elif isinstance(frame, KSnd):
-                    value = self._project(value, first=False)
+                    value = project_pair(value, False, self.policy)
                 else:  # pragma: no cover - defensive
                     raise EvaluationError(f"unknown continuation frame: {frame!r}")
         except MachineBlame as blame:
@@ -325,12 +294,9 @@ class CEKMachine:
             raw.append(operand.value)
         return MConst(spec.apply(raw), spec.result_type)
 
-    def _project(self, value: MachineValue, first: bool) -> MachineValue:
-        policy = self.policy
-        if isinstance(value, MPair):
-            return value.left if first else value.right
-        if isinstance(value, MProxy) and policy.is_prod_proxy(value.mediator):
-            left, right = policy.prod_parts(value.mediator)
-            part = left if first else right
-            return policy.apply(self._project(value.under, first), part)
-        raise EvaluationError(f"projection of a non-pair value: {value!r}")
+
+#: The machines of the three calculi: casts (λB), coercions (λC), and
+#: canonical coercions merged with ``#`` (λS).  ``MACHINE_S`` is the
+#: registry's ``coercion`` machine (:mod:`repro.semantics`).
+MACHINE_B = CEKMachine(BLAME_POLICY)
+MACHINE_C = CEKMachine(COERCION_POLICY)

@@ -38,7 +38,19 @@ from ..threesomes.runtime import (
     threesome_of_coercion,
     threesome_size,
 )
-from .values import MachineValue, MProxy
+from .values import MachineValue, MPair, MProxy
+
+
+def project_pair(value: MachineValue, first: bool, policy: "MediationPolicy") -> MachineValue:
+    """Project a pair, or a pair proxy through ``policy`` — shared by the CEK
+    machine and both VMs."""
+    if isinstance(value, MPair):
+        return value.left if first else value.right
+    if isinstance(value, MProxy) and policy.is_prod_proxy(value.mediator):
+        left, right = policy.prod_parts(value.mediator)
+        part = left if first else right
+        return policy.apply(project_pair(value.under, first, policy), part)
+    raise EvaluationError(f"projection of a non-pair value: {value!r}")
 
 
 class MachineBlame(Exception):

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from ..core.errors import EvaluationError
+from ..core.labels import Label
 from ..core.terms import Term
 from ..core.types import FunType, Type
 
@@ -125,3 +127,37 @@ def machine_value_to_python(value: MachineValue) -> object:
     if isinstance(value, MFunctionValue):
         return "<function>"
     raise TypeError(f"unknown machine value: {value!r}")
+
+
+@dataclass(frozen=True)
+class MachineOutcome:
+    """The result of a machine run: a value, blame, or fuel exhaustion."""
+
+    kind: str
+    value: MachineValue | None = None
+    label: Label | None = None
+    stats: dict | None = None
+
+    @property
+    def is_value(self) -> bool:
+        return self.kind == "value"
+
+    @property
+    def is_blame(self) -> bool:
+        return self.kind == "blame"
+
+    @property
+    def is_timeout(self) -> bool:
+        return self.kind == "timeout"
+
+    def python_value(self) -> object:
+        if not self.is_value:
+            raise EvaluationError(f"machine outcome is {self.kind}, not a value")
+        return machine_value_to_python(self.value)
+
+    def __str__(self) -> str:  # pragma: no cover - debugging aid
+        if self.is_value:
+            return f"value {self.python_value()!r}"
+        if self.is_blame:
+            return f"blame {self.label}"
+        return "timeout"

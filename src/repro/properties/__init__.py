@@ -11,29 +11,19 @@ check used by the test suite and the benchmarks:
 * :mod:`repro.properties.casts` — the Fundamental Property of Casts (Lemmas 20/21).
 """
 
-from .bisimulation import (
-    BisimulationReport,
-    check_lockstep_b_c,
-    check_outcomes_b_c_s,
-    check_outcomes_c_s,
-)
-from .blame_safety import BlameSafetyReport, check_blame_safety, labels_in_term
-from .calculi import CALCULI, LAMBDA_B, LAMBDA_C, LAMBDA_S, CalculusOps
-from .casts import (
-    FundamentalPropertyReport,
-    applicable,
-    candidate_mediating_types,
-    check_lemma20,
-    check_lemma21,
-)
-from .equivalence import (
-    Observation,
-    contextually_equivalent,
-    kleene_equivalent,
-    observations_equal,
-    probe_contexts,
-)
-from .type_safety import TypeSafetyReport, check_type_safety, check_unique_type
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "bisimulation": ("BisimulationReport", "check_lockstep_b_c", "check_outcomes_b_c_s",
+                     "check_outcomes_c_s"),
+    "blame_safety": ("BlameSafetyReport", "check_blame_safety", "labels_in_term"),
+    "calculi": ("CALCULI", "LAMBDA_B", "LAMBDA_C", "LAMBDA_S", "CalculusOps"),
+    "casts": ("FundamentalPropertyReport", "applicable", "candidate_mediating_types",
+              "check_lemma20", "check_lemma21"),
+    "equivalence": ("Observation", "contextually_equivalent", "kleene_equivalent",
+                    "observations_equal", "probe_contexts"),
+    "type_safety": ("TypeSafetyReport", "check_type_safety", "check_unique_type"),
+})
 
 __all__ = [
     "BisimulationReport",

@@ -29,11 +29,10 @@ oracle's expectations and the benchmark sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable
 
 from ..core.errors import UsageError
-from ..machine import MACHINE_S
-from ..machine.cek import CEKMachine
 from ..machine.policy import SPACE_POLICY, THREESOME_POLICY, MediationPolicy
 from ..threesomes.runtime import threesome_of_coercion
 from .erasure import ERASED, ERASURE_POLICY, ErasedMediator, ErasurePolicy
@@ -45,6 +44,9 @@ from .transient import (
     transient_of_coercion,
 )
 
+if TYPE_CHECKING:
+    from ..machine.cek import CEKMachine
+
 
 @dataclass(frozen=True)
 class EnforcementSemantics:
@@ -52,7 +54,7 @@ class EnforcementSemantics:
 
     ``policy`` is the shared :class:`MediationPolicy` instance the machines,
     VMs, and optimizer all execute with (so ``is_identity``/``compose``
-    agree by construction); ``machine`` is the CEK machine running it.
+    agree by construction); :attr:`machine` is the CEK machine running it.
     ``pre_intern`` maps an *interned* canonical λS coercion to the node this
     backend pools (:meth:`ConstantPool.add_coercion` calls it once per
     distinct coercion).  ``serialize_id`` is the provenance string written
@@ -69,13 +71,20 @@ class EnforcementSemantics:
 
     name: str
     policy: MediationPolicy
-    machine: CEKMachine
     pre_intern: Callable[[object], object]
     serialize_id: str
     cache_key: str
     blames: bool
     space_bounded: bool
     natural: bool
+
+    @cached_property
+    def machine(self) -> CEKMachine:
+        """The CEK machine running :attr:`policy` — the oracle of both VMs,
+        built on first use so that a VM run never imports it."""
+        from ..machine.cek import CEKMachine
+
+        return CEKMachine(self.policy)
 
 
 def _pool_coercion(s: object) -> object:
@@ -94,7 +103,6 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
         EnforcementSemantics(
             name="coercion",
             policy=SPACE_POLICY,
-            machine=MACHINE_S,
             pre_intern=_pool_coercion,
             serialize_id="coercion",
             cache_key="coercion",
@@ -105,7 +113,6 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
         EnforcementSemantics(
             name="threesome",
             policy=THREESOME_POLICY,
-            machine=CEKMachine(THREESOME_POLICY),
             pre_intern=threesome_of_coercion,
             serialize_id="threesome",
             cache_key="threesome",
@@ -116,7 +123,6 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
         EnforcementSemantics(
             name="transient",
             policy=TRANSIENT_POLICY,
-            machine=CEKMachine(TRANSIENT_POLICY),
             pre_intern=transient_of_coercion,
             serialize_id="transient",
             cache_key="transient",
@@ -127,7 +133,6 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
         EnforcementSemantics(
             name="erasure",
             policy=ERASURE_POLICY,
-            machine=CEKMachine(ERASURE_POLICY),
             pre_intern=_pool_erased,
             serialize_id="erasure",
             cache_key="erasure",

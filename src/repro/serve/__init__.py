@@ -13,10 +13,14 @@ The package splits along the process boundary:
   benchmarks).
 """
 
-from .client import ServeClient
-from .pool import WorkerPool
-from .protocol import TERMINAL_KINDS, decode_line, encode_line
-from .server import ServeConfig, Server, serve
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "client": ("ServeClient",),
+    "pool": ("WorkerPool",),
+    "protocol": ("TERMINAL_KINDS", "decode_line", "encode_line"),
+    "server": ("ServeConfig", "Server", "serve"),
+})
 
 __all__ = [
     "ServeClient",

@@ -40,6 +40,7 @@ The robustness contract, which the chaos tests hold the pool to:
 
 from __future__ import annotations
 
+import importlib
 import os
 import queue
 import signal
@@ -335,6 +336,24 @@ class _Worker:
                 pass
 
 
+#: The modules the worker jobs execute: the front end, the translations,
+#: the compiler pipeline, the compile cache and both VMs.  Workers are
+#: forked, so a module the parent has imported is already loaded in every
+#: worker; :class:`WorkerPool` imports these before its first fork so that no
+#: worker, fresh or a replacement, imports them again on its first job.
+_JOB_MODULES = (
+    "repro.surface.interp",
+    "repro.surface.parser",
+    "repro.surface.cast_insertion",
+    "repro.translate",
+    "repro.compiler.lower",
+    "repro.compiler.cache",
+    "repro.core.pretty",
+    "repro.compiler.vm",
+    "repro.compiler.rvm",
+)
+
+
 class WorkerPool:
     """A fixed-size pool of persistent workers with crash recovery.
 
@@ -372,6 +391,8 @@ class WorkerPool:
 
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
+        for module in _JOB_MODULES:
+            importlib.import_module(module)
         if faults is None:
             faults = os.environ.get(FAULTS_ENV, "")
         self.size = size

@@ -24,7 +24,6 @@ from ..lambda_s.coercions import (
     SpaceCoercion,
     compose,
 )
-from ..translate.b_to_s import cast_to_space
 from .labeled_types import (
     DYN_LABELED,
     LArrow,
@@ -58,6 +57,8 @@ def labeled_of_coercion(s: SpaceCoercion) -> LabeledType:
 
 def labeled_of_cast(source: Type, label: Label, target: Type) -> LabeledType:
     """The threesome of a single cast ``⟨B ⇐p A⟩`` (via its canonical coercion)."""
+    from ..translate.b_to_s import cast_to_space
+
     return labeled_of_coercion(cast_to_space(source, label, target))
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_INTERNAL_ERROR, build_parser, main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "programs"
 
@@ -124,7 +124,8 @@ class TestRunCommand:
 
 
 class TestExitCodeScheme:
-    """0 value, 1 blame, 2 static/parse error, 3 timeout — on every engine."""
+    """0 value, 1 blame, 2 static/parse error, 3 timeout — on every engine —
+    and 70 for anything else."""
 
     @pytest.mark.parametrize("engine", ["machine", "vm", "subst"])
     def test_value_exits_zero(self, square_program, engine, capsys):
@@ -155,6 +156,36 @@ class TestExitCodeScheme:
         assert main(["run", unparsable_program]) == 2
         assert main(["run", "missing.grad"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["run", "compile", "check", "translate", "trace"])
+    def test_non_utf8_source_is_a_one_line_static_error(self, tmp_path, command, capsys):
+        # Regression: a UTF-16 byte-order mark escaped as a UnicodeDecodeError
+        # traceback with exit code 1, the blame code.
+        path = tmp_path / "utf16.grad"
+        path.write_bytes(b"\xff\xfe(+ 1 2)\n")
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} is not valid UTF-8 (byte 0)\n"
+
+    def test_non_utf8_diagnostic_names_the_first_bad_byte(self, tmp_path, capsys):
+        path = tmp_path / "latin1.grad"
+        path.write_bytes(b'(string-length "caf\xe9")\n')
+        assert main(["run", str(path)]) == 2
+        assert "is not valid UTF-8 (byte 19)" in capsys.readouterr().err
+
+    def test_an_unexpected_exception_is_an_internal_error_not_blame(self, tmp_path, capsys):
+        # 500 nested additions exhaust the interpreter's recursion limit; the
+        # RecursionError used to escape with a traceback and exit code 1.
+        path = tmp_path / "deep.grad"
+        path.write_text("(+ 1 " * 500 + "0" + ")" * 500 + "\n")
+        assert main(["run", str(path)]) == EXIT_INTERNAL_ERROR == 70
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RecursionError: ")
+        assert err.count("\n") == 1
+
+    def test_help_documents_every_exit_code(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert "70 internal error" in " ".join(capsys.readouterr().out.split())
 
 
 class TestMediatorFlag:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -87,3 +88,38 @@ def test_corpus_programs_agree_across_engines_and_images():
                 reloaded = run_code(deserialize_image(serialize_image(code)).code)
                 assert reloaded.kind == outcome.kind
                 assert reloaded.stats == outcome.stats
+
+
+_EXPECTED = re.compile(r"Expected (value|outcome): (#t|#f|\"[^\"]*\"|-?\d+|blame)")
+
+
+def _expected_comments():
+    """``(program, kind, literal)`` for every ``;; Expected …:`` comment."""
+    for path in sorted((EXAMPLES_DIR / "programs").glob("*.grad")):
+        comments = "\n".join(line for line in path.read_text().splitlines()
+                             if line.lstrip().startswith(";;"))
+        for kind, literal in _EXPECTED.findall(comments):
+            yield path, kind, literal
+
+
+def test_every_example_program_documents_its_outcome():
+    documented = {path.name for path, _, _ in _expected_comments()}
+    assert documented == {path.name for path in (EXAMPLES_DIR / "programs").glob("*.grad")}
+
+
+@pytest.mark.parametrize("path, kind, literal", list(_expected_comments()),
+                         ids=lambda value: value.name if isinstance(value, Path) else None)
+def test_expected_comments_match_the_machine(path, kind, literal):
+    """The documented outcome of each shipped program is what the CEK
+    machine computes, so the comments cannot drift from the semantics."""
+    from repro.api import run
+
+    result = run(path.read_text(), engine="machine")
+    if literal == "blame":
+        assert kind == "outcome" and result.is_blame
+        return
+    assert result.is_value
+    expected = {"#t": True, "#f": False}.get(literal)
+    if expected is None:
+        expected = literal[1:-1] if literal.startswith('"') else int(literal)
+    assert result.value == expected and type(result.value) is type(expected)
