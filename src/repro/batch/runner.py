@@ -5,9 +5,9 @@ The pipeline has two phases with different parallelism profiles:
 1. **Compile** (in the coordinating process, through the compile cache):
    every program is parsed, elaborated, lowered, and optimized at most once
    — and not at all when the cache is warm — yielding one serialized
-   ``.gradb`` image per program.  Front-end errors (unreadable files, parse
-   errors, type errors) are captured as per-program ``"error"`` results
-   here; they never reach a worker.
+   ``.gradb`` image per program.  Front-end errors (unreadable or non-UTF-8
+   files, parse errors, type errors) are captured as per-program
+   ``"error"`` results here; they never reach a worker.
 
 2. **Execute** (across the fault-tolerant :class:`~repro.serve.pool.WorkerPool`):
    each worker receives the program name, the image bytes, and the fuel,
@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from ..core.errors import ReproError
+from ..core.errors import ReproError, read_source
 
 #: Manifest suffixes: a text file listing one program path per line
 #: (relative paths resolve against the manifest's directory; blank lines and
@@ -96,9 +96,11 @@ def _compile_one(path: Path, config) -> tuple[bytes | None, dict]:
     name = str(path)
     started = time.perf_counter()
     try:
-        source = path.read_text()
+        source = read_source(path)
     except OSError as exc:
         return None, {"program": name, "kind": "error", "error": f"unreadable: {exc}"}
+    except ReproError as exc:  # not UTF-8
+        return None, {"program": name, "kind": "error", "error": str(exc)}
     try:
         if config.cache:
             from ..compiler.cache import cache_lookup, cache_path, cached_compile

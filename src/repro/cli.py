@@ -75,7 +75,7 @@ from pathlib import Path
 # Only what a cached ``run`` executes is imported here; the front end, the
 # translations and the generators load inside the subcommands that use them.
 from .api import run
-from .core.errors import ParseError, ReproError, TypeCheckError
+from .core.errors import ParseError, ReproError, TypeCheckError, read_source
 from .semantics import NATURAL_SEMANTICS_NAMES, SEMANTICS_NAMES
 
 #: The uniform exit-code scheme (documented in ``--help`` and the README).
@@ -115,19 +115,10 @@ def _resolve_semantics(args: argparse.Namespace) -> str | None:
                                emit=emit, conflict="error")
 
 
-def _read_source(path: str) -> str:
-    """The text of the source file ``path``; bytes that are not UTF-8 are a
-    static error naming the first offending byte, not a decode traceback."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ReproError(f"{path} is not valid UTF-8 (byte {exc.start})") from None
-
-
 def _load_program(path: str):
     from .surface.parser import parse_program
 
-    return parse_program(_read_source(path))
+    return parse_program(read_source(path))
 
 
 def _is_image(path: str) -> bool:
@@ -275,7 +266,7 @@ def _maybe_tracing(trace_path: str | None, program: str):
 def _cmd_run(args: argparse.Namespace) -> int:
     if _is_image(args.file):
         return _run_image(args)
-    source = _read_source(args.file)
+    source = read_source(args.file)
     engine = "subst" if args.small_step else (args.engine or "machine")
     counts: dict | None = None
     if args.profile:
@@ -342,7 +333,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     from .surface.cast_insertion import elaborate_program
     from .surface.parser import parse_program
 
-    source = _read_source(args.file)
+    source = read_source(args.file)
     term, ty = elaborate_program(parse_program(source))
     code = compile_term(term, mediator=_resolve_semantics(args) or "coercion",
                         opt_level=args.opt_level)
@@ -453,7 +444,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         format_trail,
     )
 
-    source = _read_source(args.file)
+    source = read_source(args.file)
     engine = args.engine or "machine"
     collector = ListSink()
     sink = collector
@@ -564,7 +555,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else:
             files = [path]
         for file in files:
-            programs.append((str(file), _read_source(str(file))))
+            programs.append((str(file), read_source(str(file))))
     if args.generate:
         from .gen import generate_corpus
 

@@ -42,6 +42,7 @@ from .serialize import (
     GRADB_MAGIC,
     GRADB_SUFFIX,
     ImageError,
+    ImageInfo,
     LoadedImage,
     load_image,
     save_image,
@@ -180,6 +181,42 @@ def cache_lookup(
     return image
 
 
+def compile_image(
+    term_s: Term,
+    source_hash: str,
+    static_type: Type | None = None,
+    mediator: str = "coercion",
+    opt_level: int | None = None,
+    ir: str = "stack",
+    metrics=None,
+) -> LoadedImage:
+    """Compile a λS term into a runnable image, without touching the cache.
+
+    This is the per-semantics back end — lower, optimize and, for
+    ``ir="register"``, allocate registers once — and the one place a
+    compiled image is assembled: :func:`cached_compile`'s miss path and the
+    worker pool's uncached path both build their images here.  ``term_s``
+    is the λS translation of the program
+    (:func:`~repro.compiler.vm.translate_term`), which no enforcement
+    semantics changes, so it can be translated once and compiled per
+    semantics.
+    """
+    from ..obs.metrics import phase
+    from .opt import DEFAULT_OPT_LEVEL
+    from .regalloc import compile_registers
+    from .vm import compile_term_s
+
+    if opt_level is None:
+        opt_level = DEFAULT_OPT_LEVEL
+    code = compile_term_s(term_s, mediator=mediator, opt_level=opt_level, metrics=metrics)
+    rcode = None
+    if ir == "register":
+        with phase(metrics, "regalloc"):
+            rcode = compile_registers(code)
+    info = ImageInfo(FORMAT_VERSION, source_hash, opt_level, mediator, static_type, ir)
+    return LoadedImage(code, info, rcode)
+
+
 def cached_compile(
     term: Term,
     source_hash: str | None = None,
@@ -189,6 +226,7 @@ def cached_compile(
     cache_dir: str | os.PathLike | None = None,
     ir: str = "stack",
     metrics=None,
+    translated: Term | None = None,
 ) -> CacheOutcome:
     """Compile a λB term through the cache.
 
@@ -196,21 +234,24 @@ def cached_compile(
     text (the term-level API), the pretty-printed elaborated term stands in
     — it is deterministic and captures exactly what is compiled.  On a hit
     the stored image is deserialized (re-interned, ready to run); on a miss
-    — or after deleting a corrupt entry — the term is compiled, stored
-    atomically, and returned without a second round trip through disk.
+    — or after deleting a corrupt entry — the term is compiled by
+    :func:`compile_image`, stored atomically, and returned without a second
+    round trip through disk.  ``translated`` is the λS translation of
+    ``term`` when the caller already holds it (the worker pool memoizes it
+    per source); a miss then skips the translation.
 
     ``ir="register"`` caches (and on a hit returns) an image that carries
     the packed register streams too, under its own key.
 
     ``metrics`` gets the ``cache`` phase timer (load + store; compilation is
-    timed by its own ``lower``/``optimize``/``regalloc`` phases) and the
-    ``cache.{hit,miss,recovered,corrupt}`` counters.
+    timed by its own ``translate``/``lower``/``optimize``/``regalloc``
+    phases) and the ``cache.{hit,miss,recovered,corrupt}`` counters.
     """
     from ..core.faults import current_plan
     from ..core.pretty import term_to_str
     from ..obs.metrics import phase
     from .opt import DEFAULT_OPT_LEVEL
-    from .vm import compile_term
+    from .vm import translate_term
 
     if opt_level is None:
         opt_level = DEFAULT_OPT_LEVEL
@@ -230,26 +271,20 @@ def cached_compile(
         # Fault hook `slow_compile`: a compile that stalls (page cache
         # miss, contended CPU) — the serving layer's deadline must cover it.
         plan.delay("slow_compile", 0.1)
-    code = compile_term(term, mediator=mediator, opt_level=opt_level, metrics=metrics)
+    if translated is None:
+        translated = translate_term(term, metrics)
+    image = compile_image(translated, source_hash, static_type, mediator, opt_level,
+                          ir, metrics)
     with phase(metrics, "cache"):
         try:
-            save_image(code, path, source_hash=source_hash,
-                       static_type=static_type, ir=ir)
+            save_image(image.code, path, source_hash=source_hash,
+                       static_type=static_type, ir=ir, rcode=image.rcode)
         except OSError:
             pass  # a read-only or full cache degrades to compile-always
-    from .serialize import ImageInfo
-
-    rcode = None
-    if ir == "register":
-        from .regalloc import compile_registers
-
-        with phase(metrics, "regalloc"):
-            rcode = compile_registers(code)
-    info = ImageInfo(FORMAT_VERSION, source_hash, opt_level, mediator, static_type, ir)
     status = "recovered" if existed else "miss"
     if metrics is not None:
         metrics.counter(f"cache.{status}").inc()
-    return CacheOutcome(LoadedImage(code, info, rcode), status, path)
+    return CacheOutcome(image, status, path)
 
 
 def sweep_cache(

@@ -1085,8 +1085,9 @@ def compile_term_registers(
     """Compile an elaborated λB term through the full pipeline — translate,
     lower, optimize (``opt_level`` shapes elision, fusion, and cache
     allocation), then register-allocate — into code ready for
-    :func:`run_rcode`.  ``metrics`` gets the ``lower``/``optimize`` phases
-    (via :func:`~repro.compiler.vm.compile_term`) plus ``regalloc``."""
+    :func:`run_rcode`.  ``metrics`` gets the ``translate``/``lower``/
+    ``optimize`` phases (via :func:`~repro.compiler.vm.compile_term`) plus
+    ``regalloc``."""
     from ..obs.metrics import phase
     from .regalloc import compile_registers
     from .vm import compile_term

@@ -564,6 +564,7 @@ def serialize_image(
     source_hash: str = "",
     static_type: Type | None = None,
     ir: str = "stack",
+    rcode: RCode | None = None,
 ) -> bytes:
     """Encode a compiled program as ``.gradb`` image bytes.
 
@@ -572,10 +573,13 @@ def serialize_image(
     and the program's static type, so a loaded image can report
     ``value : type`` without re-elaborating anything.
 
-    ``ir="register"`` additionally runs the register converter and appends a
-    packed register section per code object (plus the register-opcode
-    fingerprint to the header), so the loaded image is directly runnable on
-    the register VM without re-converting.
+    ``ir="register"`` additionally appends a packed register section per
+    code object (plus the register-opcode fingerprint to the header), so the
+    loaded image is directly runnable on the register VM without
+    re-converting.  ``rcode`` is the entry register code when the caller has
+    already run :func:`~repro.compiler.regalloc.compile_registers` on
+    ``code`` (which also set ``code.pool.rcodes``); otherwise the register
+    converter runs here.
     """
     if ir not in IMAGE_IRS:
         raise ImageError(f"unknown image IR: {ir!r} (expected one of {IMAGE_IRS})")
@@ -602,10 +606,11 @@ def serialize_image(
         _write_code(payload, tables, child)
     _write_code(payload, tables, code)
     if ir == "register":
-        entry_rcode = compile_registers(code)
+        if rcode is None:
+            rcode = compile_registers(code)
         for child_rcode in pool.rcodes:
             _write_rcode(payload, child_rcode)
-        _write_rcode(payload, entry_rcode)
+        _write_rcode(payload, rcode)
 
     out = bytearray()
     out.extend(GRADB_MAGIC)
@@ -1164,8 +1169,10 @@ def save_image(
     source_hash: str = "",
     static_type: Type | None = None,
     ir: str = "stack",
+    rcode: RCode | None = None,
 ) -> Path:
-    """Serialize a compiled program to ``path``, atomically.
+    """Serialize a compiled program to ``path``, atomically (the arguments
+    are :func:`serialize_image`'s).
 
     The bytes are written to a temporary sibling and moved into place with
     :func:`os.replace`, so concurrent readers (and the compile cache, which
@@ -1180,7 +1187,8 @@ def save_image(
     from ..core.faults import current_plan
 
     path = Path(path)
-    data = serialize_image(code, source_hash=source_hash, static_type=static_type, ir=ir)
+    data = serialize_image(code, source_hash=source_hash, static_type=static_type, ir=ir,
+                           rcode=rcode)
     path.parent.mkdir(parents=True, exist_ok=True)
     plan = current_plan()
     if plan is not None and plan.fires("torn_write"):

@@ -649,29 +649,53 @@ class VM:
 THE_VM = VM()
 
 
-def compile_term(
-    term_b: Term, mediator: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
+def translate_term(term_b: Term, metrics=None) -> Term:
+    """Translate an elaborated λB term to λS: ``|·|BC`` then ``|·|CS``.
+
+    This half of compilation does not depend on the enforcement semantics,
+    the ``-O`` level or the IR, so a caller compiling one program under
+    several semantics translates it once and hands the λS term to
+    :func:`compile_term_s` per semantics.  ``metrics`` gets the
+    ``translate`` phase timer.
+    """
+    from ..obs.metrics import phase
+    from ..translate import b_to_c, c_to_s
+
+    with phase(metrics, "translate"):
+        return c_to_s(b_to_c(term_b))
+
+
+def compile_term_s(
+    term_s: Term, mediator: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
     metrics=None,
 ) -> CodeObject:
-    """Compile an elaborated λB term: translate ``|·|BC`` then ``|·|CS``, lower,
-    optimize.
+    """Lower and optimize a λS term (see :func:`translate_term`).
 
     ``mediator`` picks the pool representation the VM will execute —
     ``"coercion"`` (canonical coercions, ``#``) or ``"threesome"`` (labeled
     types, ``∘``); ``opt_level`` is the ``-O`` level (0 none, 1 static
     mediator elision/pre-composition, 2 — the default — superinstructions
     and inline caches too; see :mod:`repro.compiler.opt`).  ``metrics`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) gets the ``lower`` (which
-    covers the two translations too) and ``optimize`` phase timers.
+    :class:`~repro.obs.metrics.MetricsRegistry`) gets the ``lower`` and
+    ``optimize`` phase timers.
     """
     from ..obs.metrics import phase
-    from ..translate import b_to_c, c_to_s
     from .lower import lower_program
 
     with phase(metrics, "lower"):
-        code = lower_program(c_to_s(b_to_c(term_b)), mediator=mediator)
+        code = lower_program(term_s, mediator=mediator)
     with phase(metrics, "optimize"):
         return optimize(code, opt_level)
+
+
+def compile_term(
+    term_b: Term, mediator: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
+    metrics=None,
+) -> CodeObject:
+    """Compile an elaborated λB term: :func:`translate_term`, then
+    :func:`compile_term_s` (lower, optimize)."""
+    return compile_term_s(translate_term(term_b, metrics), mediator=mediator,
+                          opt_level=opt_level, metrics=metrics)
 
 
 def run_on_vm(

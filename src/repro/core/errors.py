@@ -70,6 +70,21 @@ class CompileError(ReproError):
     """The bytecode compiler rejected a term it cannot lower."""
 
 
+def read_source(path) -> str:
+    """The text of the source file ``path``.
+
+    Bytes that are not UTF-8 are a static error naming the first offending
+    byte (``FILE is not valid UTF-8 (byte N)``), not a decode traceback; an
+    unreadable file still raises :class:`OSError`.
+    """
+    from pathlib import Path
+
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReproError(f"{path} is not valid UTF-8 (byte {exc.start})") from None
+
+
 class UsageError(ReproError, ValueError):
     """An invalid engine/calculus combination or similar caller mistake.
 

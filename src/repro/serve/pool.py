@@ -9,14 +9,23 @@ process holding the state that makes requests cheap the second time:
   warm automatically as requests flow);
 * the serialize layer's decode memo (re-interning a cached image is a
   dictionary lookup per node after the first load);
-* a bounded per-worker memo of hot deserialized images, so a repeated
-  ``(source, semantics, opt level, IR)`` skips even the image decode.
+* two bounded memos (``_IMAGE_MEMO_CAP`` entries each, oldest evicted
+  first).  The *image* memo holds compiled images by ``(source hash,
+  semantics, opt level, IR)``, so a repeated configuration skips
+  compilation and even the image decode.  The *front-end* memo holds, by
+  source hash alone, the semantics-independent half of compiling: the
+  parsed and elaborated λB term, its λS translation and its type — or the
+  parse/type error result.  The same source under another semantics, ``-O``
+  level or IR (the experiment runs every configuration under each
+  semantics) then only lowers, optimizes and allocates registers.  Results
+  report ``"front": "cold"`` when the front end ran, ``"warm"`` when the
+  memo served it, and ``None`` when the image needed no front end.
 
 The robustness contract, which the chaos tests hold the pool to:
 
 * **Every job gets exactly one terminal result.**  A worker crash
   (detected via pipe EOF / process death) triggers at-most-``retries``
-  re-dispatches with exponential backoff on a fresh worker; past that the
+  immediate re-dispatches on the freshly forked replacement; past that the
   job fails as an ``error`` result with ``"reason": "worker-lost"`` —
   never silently dropped, never hung (the failure mode of a bare
   ``multiprocessing.Pool``, whose ``imap_unordered`` waits forever for a
@@ -62,7 +71,8 @@ _HUNG = object()
 #: declares the worker hung and replaces it.
 DEFAULT_GRACE_S = 5.0
 
-#: Hot deserialized images kept per worker (insertion-order eviction).
+#: Entries kept in each of a worker's two memos, images and front ends
+#: (insertion-order eviction).
 _IMAGE_MEMO_CAP = 64
 
 
@@ -106,18 +116,57 @@ def _deadline(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _obtain_image(job: dict, memo: dict):
-    """The image for a ``run_source`` job, through memo → cache → compile.
+def _remember(memo: dict, key, value) -> None:
+    """Store ``value`` in a worker memo, evicting the oldest entry at the cap."""
+    if len(memo) >= _IMAGE_MEMO_CAP:
+        memo.pop(next(iter(memo)))
+    memo[key] = value
 
-    Returns ``(LoadedImage, cache_status)`` where status is ``"warm"``
-    (worker-resident), ``"hit"``/``"miss"``/``"recovered"`` (compile
-    cache), or ``"off"`` (caching disabled).  Raises ``ReproError`` for
-    front-end failures and unknown hashes.
+
+def _front_end(source_hash: str, source: str | None, fronts: dict):
+    """The semantics-independent half of compiling a source, once per worker.
+
+    Returns ``(entry, status)``.  ``entry`` is ``(λB term, λS term, type)``
+    — parse, elaborate, then ``|·|BC`` and ``|·|CS`` — or, for a parse or
+    type error, the job's ``error`` result dict (the dict, not the
+    exception: re-raising a stored exception would grow its traceback on
+    every raise).  ``status`` is ``"warm"`` when the entry came from
+    ``fronts``, ``"cold"`` when it was computed (and stored) now.  Raises
+    ``ReproError`` for a hash with neither a memo entry nor a source.
     """
-    from ..compiler.cache import cache_lookup, cached_compile
-    from ..compiler.serialize import source_fingerprint
+    from ..compiler.vm import translate_term
     from ..core.errors import ReproError
     from ..surface.interp import compile_source
+
+    entry = fronts.get(source_hash)
+    if entry is not None:
+        return entry, "warm"
+    if source is None:
+        raise ReproError(
+            f"source_hash {source_hash[:12]}… is not in the compile cache "
+            "and the request carried no source"
+        )
+    try:
+        term, ty = compile_source(source)
+        entry = (term, translate_term(term), ty)
+    except ReproError as exc:
+        entry = {"kind": "error", "error": str(exc), "cache": None}
+    _remember(fronts, source_hash, entry)
+    return entry, "cold"
+
+
+def _obtain_image(job: dict, images: dict, fronts: dict):
+    """The image for a ``run_source`` job, through memo → cache → compile.
+
+    Returns ``(image, cache_status, front_status)``.  ``cache_status`` is
+    ``"warm"`` (worker-resident image), ``"hit"``/``"miss"``/``"recovered"``
+    (compile cache), or ``"off"`` (caching disabled); ``front_status`` is
+    :func:`_front_end`'s, or ``None`` when the image needed no front end.
+    For a front-end failure ``image`` is the error result dict instead.
+    Raises ``ReproError`` for unknown hashes and back-end failures.
+    """
+    from ..compiler.cache import cache_lookup, cached_compile, compile_image
+    from ..compiler.serialize import source_fingerprint
 
     source = job.get("source")
     semantics = job["semantics"]
@@ -127,49 +176,33 @@ def _obtain_image(job: dict, memo: dict):
     if source_hash is None:
         source_hash = source_fingerprint(source)
     key = (source_hash, semantics, opt_level, ir)
-    image = memo.get(key)
+    image = images.get(key)
     if image is not None:
-        return image, "warm"
+        return image, "warm", None
 
     use_cache = job.get("use_cache", True)
     cache_dir = job.get("cache_dir")
-    status = None
+    status, front = "hit", None
     if use_cache:
         image = cache_lookup(source_hash, opt_level, semantics, cache_dir, ir)
-        if image is not None:
-            status = "hit"
     if image is None:
-        if source is None:
-            raise ReproError(
-                f"source_hash {source_hash[:12]}… is not in the compile cache "
-                "and the request carried no source"
-            )
-        term, ty = compile_source(source)
+        entry, front = _front_end(source_hash, source, fronts)
+        if isinstance(entry, dict):
+            return entry, None, front
+        term, term_s, ty = entry
         if use_cache:
             found = cached_compile(
                 term, source_hash=source_hash, static_type=ty,
                 mediator=semantics, opt_level=opt_level,
-                cache_dir=cache_dir, ir=ir,
+                cache_dir=cache_dir, ir=ir, translated=term_s,
             )
             image, status = found.image, found.status
         else:
-            from ..compiler.serialize import FORMAT_VERSION, ImageInfo, LoadedImage
-            from ..compiler.vm import compile_term
-
-            code = compile_term(term, mediator=semantics, opt_level=opt_level)
-            rcode = None
-            if ir == "register":
-                from ..compiler.regalloc import compile_registers
-
-                rcode = compile_registers(code)
-            info = ImageInfo(FORMAT_VERSION, source_hash, opt_level, semantics, ty, ir)
-            image = LoadedImage(code, info, rcode)
+            image = compile_image(term_s, source_hash, ty, semantics, opt_level, ir)
             status = "off"
 
-    if len(memo) >= _IMAGE_MEMO_CAP:
-        memo.pop(next(iter(memo)))
-    memo[key] = image
-    return image, status
+    _remember(images, key, image)
+    return image, status, front
 
 
 def _run_image(image, engine: str, fuel: int | None) -> dict:
@@ -202,8 +235,9 @@ def _run_image(image, engine: str, fuel: int | None) -> dict:
     return result
 
 
-def _handle_job(job: dict, memo: dict) -> dict:
-    """One job to one result dict, inside the worker."""
+def _handle_job(job: dict, images: dict, fronts: dict) -> dict:
+    """One job to one result dict, inside the worker (``images`` and
+    ``fronts`` are the worker's two memos, see :func:`_obtain_image`)."""
     from ..core.errors import ReproError
 
     op = job.get("op")
@@ -224,12 +258,15 @@ def _handle_job(job: dict, memo: dict) -> dict:
         started = time.perf_counter()
         with _deadline(job.get("deadline_s")):
             try:
-                image, status = _obtain_image(job, memo)
+                image, status, front = _obtain_image(job, images, fronts)
             except ReproError as exc:
-                return {"kind": "error", "error": str(exc), "cache": None}
+                return {"kind": "error", "error": str(exc), "cache": None, "front": None}
+            if isinstance(image, dict):  # a parse or type error, maybe memoized
+                return {**image, "front": front}
             loaded = time.perf_counter()
             result = _run_image(image, job["engine"], job.get("fuel"))
         result["cache"] = status
+        result["front"] = front
         result["compile_s"] = loaded - started
         return result
     return {"kind": "error", "error": f"unknown pool op: {op!r}"}
@@ -244,7 +281,8 @@ def _worker_main(conn, slot: int, faults_spec: str, seed: int) -> None:
         if faults_spec.strip()
         else None
     )
-    memo: dict = {}
+    images: dict = {}
+    fronts: dict = {}
     served = 0
     while True:
         try:
@@ -258,7 +296,7 @@ def _worker_main(conn, slot: int, faults_spec: str, seed: int) -> None:
             os.kill(os.getpid(), signal.SIGKILL)
         served += 1
         try:
-            result = _handle_job(job, memo)
+            result = _handle_job(job, images, fronts)
         except _DeadlineExceeded:
             result = {
                 "kind": "timeout",
@@ -380,7 +418,6 @@ class WorkerPool:
         faults: str | None = None,
         seed: int | None = None,
         retries: int = 2,
-        backoff_s: float = 0.05,
         grace_s: float = DEFAULT_GRACE_S,
         max_requests: int = 0,
         max_rss_mb: int = 0,
@@ -397,7 +434,6 @@ class WorkerPool:
             faults = os.environ.get(FAULTS_ENV, "")
         self.size = size
         self.retries = retries
-        self.backoff_s = backoff_s
         self.grace_s = grace_s
         self.max_requests = max_requests
         self.max_rss_kb = max_rss_mb * 1024
@@ -483,7 +519,8 @@ class WorkerPool:
     def execute(self, job: dict) -> dict:
         """Run one job to exactly one terminal result dict.
 
-        Crash → at-most-``retries`` re-dispatches (exponential backoff),
+        Crash → at-most-``retries`` immediate re-dispatches (each goes to
+        the freshly forked replacement, so there is nothing to wait for),
         then an ``error`` result with ``"reason": "worker-lost"``.  A
         worker silent past ``deadline_s + grace_s`` is killed and the job
         reported as ``timeout`` (a hang is not retried: it would hang
@@ -538,7 +575,6 @@ class WorkerPool:
                             **({"program": job["program"]} if "program" in job else {}),
                         }
                     self._count("retries")
-                    time.sleep(self.backoff_s * (2 ** (attempts - 1)))
                     continue
                 worker.served = result.pop("served", worker.served + 1)
                 rss_kb = result.pop("rss_kb", 0)

@@ -55,7 +55,6 @@ class ServeConfig:
     max_requests: int = 0  # recycle a worker after this many jobs (0 = never)
     max_rss_mb: int = 0  # recycle a worker past this RSS (0 = never)
     retries: int = 2
-    backoff_s: float = 0.05
     grace_s: float = DEFAULT_GRACE_S
     faults: str | None = None  # fault spec (default: the environment)
     faults_seed: int | None = None
@@ -175,6 +174,8 @@ class Server:
         for key, metric in (("compile_s", "serve.compile_s"), ("run_s", "serve.run_s")):
             if key in result:
                 self._metric("histogram", metric, result[key])
+        if result.get("front") is not None:
+            self._metric("counter", f"serve.front.{result['front']}")
         result["id"] = request_id
         return result
 
@@ -234,7 +235,6 @@ class Server:
             faults=config.faults,
             seed=config.faults_seed,
             retries=config.retries,
-            backoff_s=config.backoff_s,
             grace_s=config.grace_s,
             max_requests=config.max_requests,
             max_rss_mb=config.max_rss_mb,

@@ -94,6 +94,22 @@ class TestRunBatch:
         assert "int" in by_name["d_bad.grad"]["error"]
         assert aggregate["outcomes"]["error"] == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_utf8_file_is_one_error_record(self, corpus, tmp_path, workers):
+        bad = corpus / "d_utf16.grad"
+        bad.write_bytes(b"\xff\xfe(+ 1 2)\n")
+        results, aggregate = run_batch([corpus], workers=workers, fuel=5_000,
+                                       cache_dir=str(tmp_path / "cache"))
+        by_name = {Path(r["program"]).name: r for r in results}
+        assert by_name["d_utf16.grad"] == {
+            "program": str(bad), "kind": "error",
+            "error": f"{bad} is not valid UTF-8 (byte 0)",
+        }
+        assert by_name["a_square.grad"]["value"] == 36
+        assert by_name["b_blame.grad"]["kind"] == "blame"
+        assert by_name["c_spin.grad"]["kind"] == "timeout"
+        assert aggregate["outcomes"] == {"value": 1, "blame": 1, "timeout": 1, "error": 1}
+
     def test_workers_agree_with_inline_execution(self, corpus, tmp_path):
         inline, _ = run_batch([corpus], workers=1, fuel=5_000,
                               cache_dir=str(tmp_path / "cache"))
@@ -189,6 +205,24 @@ class TestBatchCommand:
         lines = self._lines(capsys)
         assert lines[-1]["aggregate"]["outcomes"] == {
             "value": 1, "blame": 1, "timeout": 1, "error": 1,
+        }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_utf8_file_does_not_abort_the_run(self, tmp_path, capsys, workers):
+        root = tmp_path / "mixed"
+        root.mkdir()
+        (root / "one.grad").write_text(SQUARE)
+        (root / "two.grad").write_text(BLAME)
+        (root / "three.grad").write_bytes(b"(+ 1 2) ; caf\xe9\n")
+        assert main(["batch", str(root), "--workers", workers]) == 2
+        lines = self._lines(capsys)
+        by_name = {Path(line["program"]).name: line for line in lines[:-1]}
+        assert by_name["three.grad"]["error"] == (
+            f"{root / 'three.grad'} is not valid UTF-8 (byte 13)")
+        assert by_name["one.grad"]["value"] == 36
+        assert by_name["two.grad"]["kind"] == "blame"
+        assert lines[-1]["aggregate"]["outcomes"] == {
+            "value": 1, "blame": 1, "timeout": 0, "error": 1,
         }
 
     def test_streams_one_json_line_per_program(self, tmp_path, capsys):

@@ -104,7 +104,7 @@ for path in sys.argv[1:]:
             for use_cache in (False, True):
                 _handle_job({"op": "run_source", "source": source, "engine": engine,
                              "semantics": semantics, "opt_level": 2, "fuel": None,
-                             "use_cache": use_cache, "cache_dir": None}, {})
+                             "use_cache": use_cache, "cache_dir": None}, {}, {})
 print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith("repro"))))
 """
 

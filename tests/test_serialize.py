@@ -305,6 +305,37 @@ class TestCompileCache:
         warm = run_source(SQUARE, engine="vm", cache=True, cache_dir=str(tmp_path))
         assert warm.is_value and warm.value == 36
 
+    def test_a_register_miss_allocates_registers_once(self, tmp_path, monkeypatch):
+        """A register-IR miss writes the register streams and returns the
+        image from a single allocation, and the bytes it stores are the
+        ones a standalone ``serialize_image`` writes; a hit allocates none."""
+        import repro.compiler.regalloc as regalloc
+        import repro.compiler.serialize as serialize
+        from repro.api import run
+
+        source = next(p for p in EXAMPLES if p.name == "tail_loop.grad").read_text()
+        term, ty = compile_source(source)
+        expected = serialize_image(compile_term(term), source_hash=source_fingerprint(source),
+                                   static_type=ty, ir="register")
+        allocated = []
+        original = regalloc.compile_registers
+
+        def counting(code):
+            allocated.append(code)
+            return original(code)
+
+        monkeypatch.setattr(regalloc, "compile_registers", counting)
+        monkeypatch.setattr(serialize, "compile_registers", counting)
+        miss = run(source, engine="rvm", cache=True, cache_dir=str(tmp_path))
+        assert miss.cache_status == "miss"
+        assert len(allocated) == 1
+        (stored,) = tmp_path.rglob("*.gradb")
+        assert stored.read_bytes() == expected
+        hit = run(source, engine="rvm", cache=True, cache_dir=str(tmp_path))
+        assert hit.cache_status == "hit"
+        assert len(allocated) == 1
+        assert (hit.kind, hit.value, hit.steps) == (miss.kind, miss.value, miss.steps)
+
     def test_cache_respects_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_GRADUAL_CACHE_DIR", str(tmp_path / "via-env"))
         result = run_source(SQUARE, engine="vm", cache=True)

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import run
 from repro.compiler.cache import sweep_cache
-from repro.serve.pool import WorkerPool
+from repro.semantics import SEMANTICS_NAMES
+from repro.serve.pool import _IMAGE_MEMO_CAP, WorkerPool
 from repro.serve.protocol import TERMINAL_KINDS
 
 SQUARE = "(define (square [x : int]) : int (* x x))\n(square (: 6 ?))\n"
@@ -112,7 +114,7 @@ class TestWorkerPool:
             assert info["crashes"] == 0 and info["alive"] == 1
 
     def test_crash_is_retried_and_succeeds(self):
-        with WorkerPool(1, faults="worker_kill:1.0:1", backoff_s=0.01) as pool:
+        with WorkerPool(1, faults="worker_kill:1.0:1") as pool:
             result = pool.execute(job(SQUARE))
             assert (result["kind"], result["value"]) == ("value", 36)
             assert result["attempts"] == 2
@@ -121,8 +123,7 @@ class TestWorkerPool:
             assert info["lost"] == 0 and info["alive"] == 1
 
     def test_worker_lost_after_retry_budget(self):
-        with WorkerPool(1, faults="worker_kill:1.0", retries=1,
-                        backoff_s=0.01) as pool:
+        with WorkerPool(1, faults="worker_kill:1.0", retries=1) as pool:
             result = pool.execute(job(SQUARE))
             assert result["kind"] == "error"
             assert result["reason"] == "worker-lost"
@@ -172,9 +173,80 @@ class TestWorkerPool:
         from repro.core.faults import FAULTS_ENV
 
         monkeypatch.setenv(FAULTS_ENV, "worker_kill:1.0:1")
-        with WorkerPool(1, backoff_s=0.01) as pool:
+        with WorkerPool(1) as pool:
             result = pool.execute(job(SQUARE))
             assert result["value"] == 36 and result["attempts"] == 2
+
+
+class TestFrontEndMemo:
+    """Parse, elaborate and λB → λC → λS run once per source per worker;
+    only lowering onwards runs per semantics."""
+
+    def test_one_front_end_serves_every_semantics(self, tmp_path, monkeypatch):
+        import repro.surface.parser as parser
+
+        expected = {(source, semantics): run(source, engine="machine", semantics=semantics)
+                    for source in (SQUARE, BLAME) for semantics in SEMANTICS_NAMES}
+        # Forked workers inherit the patch; they report parses through a file.
+        parses = tmp_path / "parses"
+        original = parser.parse_program
+
+        def counting(source):
+            with open(parses, "a") as log:
+                log.write("parse\n")
+            return original(source)
+
+        monkeypatch.setattr(parser, "parse_program", counting)
+        with WorkerPool(1) as pool:
+            for source in (SQUARE, BLAME):
+                fronts = []
+                for semantics in SEMANTICS_NAMES:
+                    got = pool.execute(job(source, engine="rvm", semantics=semantics,
+                                           use_cache=False))
+                    want = expected[source, semantics]
+                    assert got["kind"] == want.kind
+                    assert got.get("value") == want.value
+                    assert got.get("blame") == (str(want.blame_label)
+                                                if want.is_blame else None)
+                    assert got["cache"] == "off"
+                    fronts.append(got["front"])
+                assert fronts == ["cold", "warm", "warm", "warm"]
+            # A repeated configuration is a resident image: no front end at all.
+            again = pool.execute(job(SQUARE, engine="rvm", use_cache=False))
+            assert (again["cache"], again["front"]) == ("warm", None)
+        assert parses.read_text().count("parse") == 2
+
+    def test_front_end_errors_are_memoized_as_results(self):
+        with WorkerPool(1) as pool:
+            for source in ("(+ 1", "(+ 1 #t)\n"):
+                first = pool.execute(job(source, use_cache=False))
+                second = pool.execute(job(source, use_cache=False, semantics="threesome"))
+                assert first["kind"] == "error"
+                assert (first.pop("front"), second.pop("front")) == ("cold", "warm")
+                assert first == second
+
+    def test_front_ends_through_the_compile_cache(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        with WorkerPool(1) as pool:
+            cold = pool.execute(job(SQUARE, cache_dir=cache_dir))
+            warm = pool.execute(job(SQUARE, cache_dir=cache_dir, semantics="threesome"))
+        assert (cold["cache"], cold["front"]) == ("miss", "cold")
+        assert (warm["cache"], warm["front"]) == ("miss", "warm")
+        assert cold["value"] == warm["value"] == 36
+        with WorkerPool(1) as pool:  # a fresh worker: both images are on disk
+            hit = pool.execute(job(SQUARE, cache_dir=cache_dir, semantics="threesome"))
+        assert (hit["cache"], hit["front"]) == ("hit", None)
+
+    def test_the_memo_is_bounded(self):
+        sources = [f"(+ 1 {n})\n" for n in range(_IMAGE_MEMO_CAP + 1)]
+        with WorkerPool(1) as pool:
+            for source in sources:
+                assert pool.execute(job(source, use_cache=False))["front"] == "cold"
+            newest = pool.execute(job(sources[-1], use_cache=False, semantics="erasure"))
+            oldest = pool.execute(job(sources[0], use_cache=False, semantics="erasure"))
+        assert newest["front"] == "warm"
+        assert oldest["front"] == "cold"
+        assert oldest["value"] == 1
 
 
 class TestChaosProperty:
@@ -191,8 +263,7 @@ class TestChaosProperty:
     def test_every_job_gets_one_terminal_result(self, seed, kill, picks):
         cache_dir = os.environ["REPRO_GRADUAL_CACHE_DIR"]
         spec = f"worker_kill:{kill},slow_compile:0.3:2,torn_write:0.5:2"
-        with WorkerPool(1, faults=spec, seed=seed, retries=2,
-                        backoff_s=0.01) as pool:
+        with WorkerPool(1, faults=spec, seed=seed, retries=2) as pool:
             for index in picks:
                 source, expected_kind, expected_value = PROGRAMS[index]
                 result = pool.execute(job(source, cache_dir=cache_dir))

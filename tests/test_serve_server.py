@@ -111,7 +111,7 @@ class TestProtocol:
 
         proc, ready = start_server(tmp_path, "--workers", "2")
         client = ServeClient.from_ready(ready)
-        volatile = {"program", "cache", "compile_s", "load_s", "run_s", "id",
+        volatile = {"program", "cache", "front", "compile_s", "load_s", "run_s", "id",
                     "served", "rss_kb", "attempts"}
         for name, source in programs.items():
             served = client.run(source, id=name)
@@ -136,6 +136,17 @@ class TestProtocol:
             {"op": "run", "source_hash": source_fingerprint(SQUARE)}
         )
         assert hashed["value"] == 36 and hashed["cache"] == "warm"
+        stop(proc, client)
+
+    def test_front_end_reuse_is_counted(self, tmp_path):
+        proc, ready = start_server(tmp_path)
+        client = ServeClient.from_ready(ready)
+        fronts = [client.run(SQUARE, semantics=semantics)["front"]
+                  for semantics in ("coercion", "threesome", "transient")]
+        assert fronts == ["cold", "warm", "warm"]
+        assert client.run(SQUARE)["front"] is None  # a resident image
+        counters = client.stats()["metrics"]["counters"]
+        assert (counters["serve.front.cold"], counters["serve.front.warm"]) == (1, 2)
         stop(proc, client)
 
     def test_per_request_axes(self, tmp_path):
