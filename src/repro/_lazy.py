@@ -29,7 +29,9 @@ def attach(package: str, attrs: Mapping[str, Iterable[str]],
     """``(__getattr__, __dir__)`` for ``package``.
 
     ``attrs`` maps a submodule path relative to the package (``"parser"``,
-    ``"core.types"``) to the names it exports through the package;
+    ``"core.types"``; a leading ``.`` climbs one package up, as in a
+    relative import: ``".threesomes.runtime"`` from ``repro.machine``) to
+    the names it exports through the package;
     ``submodules`` lists submodules exported as attributes themselves.  A
     resolved name is stored on the package, so each lookup pays the import
     once.
@@ -43,7 +45,7 @@ def attach(package: str, attrs: Mapping[str, Iterable[str]],
         module = origin.get(name)
         if module is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        value = getattr(importlib.import_module(f"{package}.{module}"), name)
+        value = getattr(importlib.import_module(f".{module}", package), name)
         setattr(sys.modules[package], name, value)
         return value
 

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from .compiler.opt import DEFAULT_OPT_LEVEL, OPT_LEVELS
+from .compiler.bytecode import DEFAULT_OPT_LEVEL, OPT_LEVELS
 from .core.errors import UsageError
 from .core.fuel import (
     DEFAULT_MACHINE_FUEL,
@@ -44,10 +45,12 @@ from .core.fuel import (
     DEFAULT_VM_FUEL,
 )
 from .core.labels import Label
-from .core.terms import Term
 from .core.types import Type
 from .obs.metrics import phase, record_run
 from .semantics import SEMANTICS_NAMES
+
+if TYPE_CHECKING:
+    from .core.terms import Term
 
 #: The four execution engines: the stack bytecode VM, the register VM
 #: (packed-stream dispatch over the register IR — the fastest engine), the
@@ -314,6 +317,8 @@ def run(source_or_term, config: RunConfig | None = None, *,
     with _maybe_tracing(cfg.trace, program_name):
         if isinstance(source_or_term, str):
             return _run_source(source_or_term, cfg, opcode_counts)
+        from .core.terms import Term
+
         if not isinstance(source_or_term, Term):
             raise TypeError(
                 "run() takes surface source (str) or an elaborated λB Term, "

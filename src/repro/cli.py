@@ -49,10 +49,11 @@ Installed as ``repro-gradual``.  Subcommands:
 
 Exit codes (uniform across subcommands): **0** — the program ran to a value
 (or the subcommand succeeded); **1** — evaluation allocated blame; **2** — a
-static error (file not found, source not UTF-8, parse error, ill-typed
+static error (file not found, source not UTF-8, parse error — including
+nesting deeper than ``repro.surface.parser.MAX_NESTING`` levels —, ill-typed
 program, bad engine/calculus/mediator combination, unreadable image);
 **3** — evaluation timed out (fuel exhausted); **70** — internal error (any
-other failure, such as the recursion limit on a deeply nested program).
+other failure: a fault in the library, not in the program).
 ``batch`` reports the most severe per-program outcome: static error (2),
 then timeout (3), then blame (1), then value (0).
 Errors are single-line diagnostics on stderr carrying source locations when
@@ -861,9 +862,8 @@ def main(argv: list[str] | None = None) -> int:
     engine/calculus/mediator combinations — are caught uniformly here and
     reported as one-line diagnostics on stderr with exit code 2.  Dynamic
     outcomes (blame = 1, timeout = 3) are exit codes, not exceptions.  Any
-    other exception (say, a ``RecursionError`` on a deeply nested program)
-    is an internal error: a one-line diagnostic and exit code 70, so that
-    exit code 1 always means blame.
+    other exception is an internal error: a one-line diagnostic and exit
+    code 70, so that exit code 1 always means blame.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

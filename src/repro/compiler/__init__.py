@@ -24,14 +24,14 @@ from __future__ import annotations
 from .._lazy import attach
 
 __getattr__, __dir__ = attach(__name__, {
-    "bytecode": ("SUPERINSTRUCTIONS", "CodeObject", "ConstantPool", "all_code_objects",
-                 "opcode_fingerprint"),
+    "bytecode": ("DEFAULT_OPT_LEVEL", "OPT_LEVELS", "SUPERINSTRUCTIONS", "CodeObject",
+                 "ConstantPool", "all_code_objects", "opcode_fingerprint"),
     "cache": ("CacheOutcome", "cache_path", "cached_compile", "default_cache_dir"),
     "disasm": ("disassemble", "disassemble_image", "disassemble_registers",
                "instruction_streams", "parse_disassembly", "parse_register_disassembly",
                "register_streams"),
     "lower": ("lower_program",),
-    "opt": ("DEFAULT_OPT_LEVEL", "OPT_LEVELS", "hot_pairs", "optimize"),
+    "opt": ("hot_pairs", "optimize"),
     "regalloc": ("RCode", "all_rcodes", "compile_registers", "register_fingerprint"),
     "rvm": ("RVM", "THE_RVM", "RClosure", "compile_term_registers", "run_on_rvm",
             "run_rcode"),

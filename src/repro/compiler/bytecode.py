@@ -81,6 +81,14 @@ from ..lambda_s.coercions import SpaceCoercion, intern_space
 from ..machine.values import MConst
 from ..semantics import resolve
 
+#: Optimization levels understood by :func:`repro.compiler.opt.optimize` (and
+#: ``-O`` on the CLI).  Defined here rather than in the optimizer, which
+#: re-exports them, so that a cached run reads them without importing it.
+OPT_LEVELS = (0, 1, 2)
+
+#: The default level everywhere: full optimization.
+DEFAULT_OPT_LEVEL = 2
+
 # Opcodes are plain module-level ints: the VM loads them into loop locals and
 # dispatches with integer comparisons ordered by dynamic frequency.
 PUSH_CONST = 0

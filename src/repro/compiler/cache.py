@@ -32,10 +32,10 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ..core.terms import Term
 from ..core.types import Type
-from .bytecode import opcode_fingerprint
+from .bytecode import DEFAULT_OPT_LEVEL, opcode_fingerprint
 from .regalloc import register_fingerprint
 from .serialize import (
     FORMAT_VERSION,
@@ -48,6 +48,9 @@ from .serialize import (
     save_image,
     source_fingerprint,
 )
+
+if TYPE_CHECKING:
+    from ..core.terms import Term
 
 #: Environment variable overriding the cache location (highest precedence
 #: after an explicit ``cache_dir`` argument).
@@ -202,7 +205,6 @@ def compile_image(
     semantics.
     """
     from ..obs.metrics import phase
-    from .opt import DEFAULT_OPT_LEVEL
     from .regalloc import compile_registers
     from .vm import compile_term_s
 
@@ -250,7 +252,6 @@ def cached_compile(
     from ..core.faults import current_plan
     from ..core.pretty import term_to_str
     from ..obs.metrics import phase
-    from .opt import DEFAULT_OPT_LEVEL
     from .vm import translate_term
 
     if opt_level is None:

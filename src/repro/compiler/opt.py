@@ -53,10 +53,12 @@ from ..semantics import policy_for
 from .bytecode import (
     COERCE,
     COMPOSE,
+    DEFAULT_OPT_LEVEL,
     FUSED_LIMIT,
     JUMP,
     JUMP_IF_FALSE,
     NO_OPERAND,
+    OPT_LEVELS,
     PRIM_JUMP_IF_FALSE,
     PUSH_PRIM,
     SUPERINSTRUCTIONS,
@@ -64,12 +66,6 @@ from .bytecode import (
     all_code_objects,
     pack_operands,
 )
-
-#: Optimization levels understood by ``optimize`` (and ``-O`` on the CLI).
-OPT_LEVELS = (0, 1, 2)
-
-#: The default level everywhere: full optimization.
-DEFAULT_OPT_LEVEL = 2
 
 #: ``(op1, op2) -> fused`` — the peephole table, inverted from the opcode
 #: metadata so the two stay in sync by construction.

@@ -47,9 +47,10 @@ copies; keep the fused copies textually identical to them.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..core.errors import EvaluationError
 from ..core.fuel import DEFAULT_VM_FUEL
-from ..core.terms import Term
 from ..machine.policy import MachineBlame, project_pair
 from ..machine.profiler import MachineStats
 from ..machine.values import (
@@ -61,8 +62,7 @@ from ..machine.values import (
     MProxy,
 )
 from ..obs.trace import current_tracer
-from .bytecode import fix_apply_code
-from .opt import DEFAULT_OPT_LEVEL
+from .bytecode import DEFAULT_OPT_LEVEL, fix_apply_code
 from .regalloc import (
     R_BLAME,
     R_BR_FALSE,
@@ -99,6 +99,9 @@ from .regalloc import (
     _convert_code,
 )
 from ..semantics import policy_for
+
+if TYPE_CHECKING:
+    from ..core.terms import Term
 
 
 class RClosure(MFunctionValue):

@@ -53,6 +53,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..core.errors import ReproError
 from ..core.intern import intern_type
@@ -70,20 +71,14 @@ from ..lambda_s.coercions import (
     intern_space,
 )
 from ..machine.values import MConst
-from ..threesomes.labeled_types import (
-    LArrow,
-    LBase,
-    LDyn,
-    LFail,
-    LProd,
-    LabeledType,
-)
 from ..semantics import SEMANTICS_NAMES
-from ..semantics.erasure import ERASED, ErasedMediator
-from ..semantics.transient import TransientCheck, intern_transient
-from ..threesomes.runtime import Threesome, intern_labeled, intern_threesome
 from .bytecode import CodeObject, ConstantPool, opcode_fingerprint
 from .regalloc import R_SIGS, RCode, compile_registers, register_fingerprint
+
+# The threesome, transient and erasure codecs import their node classes in
+# their own branches, so decoding a coercion image loads none of them.
+if TYPE_CHECKING:
+    from ..threesomes.labeled_types import LabeledType
 
 #: The on-disk format version.  Bump on any incompatible layout change; the
 #: loader rejects mismatches before reading anything version-dependent.
@@ -437,6 +432,9 @@ def _write_opt_label(out: bytearray, tables: _Tables, lbl: Label | None) -> None
 
 def _tables_labeled_ref(tables: _Tables, p: LabeledType) -> int:
     """Index of a labeled type in the image's deduplicated node table."""
+    from ..threesomes.labeled_types import LArrow, LBase, LDyn, LFail, LProd
+    from ..threesomes.runtime import intern_labeled
+
     p = intern_labeled(p)
     index = tables._lt_index.get(id(p))
     if index is not None:
@@ -482,12 +480,16 @@ def _write_mediator(out: bytearray, tables: _Tables, mediator: str, entry: objec
             raise ImageError(f"coercion pool holds a non-coercion entry: {entry!r}")
         _write_varint(out, _tables_coercion_ref(tables, entry))
     elif mediator == "threesome":
+        from ..threesomes.runtime import Threesome
+
         if not isinstance(entry, Threesome):
             raise ImageError(f"threesome pool holds a non-threesome entry: {entry!r}")
         _write_varint(out, tables.type_ref(entry.source))
         _write_varint(out, _tables_labeled_ref(tables, entry.mid))
         _write_varint(out, tables.type_ref(entry.target))
     elif mediator == "transient":
+        from ..semantics.transient import TransientCheck
+
         if not isinstance(entry, TransientCheck):
             raise ImageError(f"transient pool holds a non-check entry: {entry!r}")
         _write_varint(out, len(entry.checks))
@@ -496,6 +498,8 @@ def _write_mediator(out: bytearray, tables: _Tables, mediator: str, entry: objec
             _write_varint(out, tables.label_ref(label))
         _write_opt_label(out, tables, entry.fail)
     elif mediator == "erasure":
+        from ..semantics.erasure import ErasedMediator
+
         if not isinstance(entry, ErasedMediator):
             raise ImageError(f"erasure pool holds a non-erased entry: {entry!r}")
         # The token carries no data; the entry count alone reconstructs it.
@@ -797,6 +801,11 @@ def _read_labeled_table(
     """Decode the deduplicated labeled-type node table."""
     count = reader.varint()
     table: list[LabeledType] = []
+    if not count:  # every image but a threesome one
+        return table
+    from ..threesomes.labeled_types import LArrow, LBase, LDyn, LFail, LProd
+    from ..threesomes.runtime import intern_labeled
+
     for _ in range(count):
         tag = reader.byte()
         try:
@@ -1040,6 +1049,12 @@ def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:
     consts = pool.consts
     for _ in range(reader.varint()):
         consts.append(_read_const(reader, types))
+    if mediator == "threesome":
+        from ..threesomes.runtime import Threesome, intern_threesome
+    elif mediator == "transient":
+        from ..semantics.transient import TransientCheck, intern_transient
+    elif mediator == "erasure":
+        from ..semantics.erasure import ERASED
     for index in range(reader.varint()):
         if mediator == "coercion":
             entry: object = _table_ref(reader, coercion_nodes, "coercion")

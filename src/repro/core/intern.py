@@ -87,10 +87,12 @@ class Interner:
         if node is canonical:
             return
         if len(self._aliases) >= self.MAX_ALIASES:
-            # FIFO eviction: drop the oldest alias.  Its node may then be
-            # garbage collected and its id reused, but the entry is gone, so
-            # a stale hit is impossible.
-            self._aliases.pop(next(iter(self._aliases)))
+            # Evict by clearing the whole table: O(1) amortised, where
+            # popping the oldest key one at a time leaves dead slots that
+            # every later ``next(iter(...))`` scans past.  The evicted nodes
+            # may then be garbage collected and their ids reused, but their
+            # entries are gone, so a stale hit is impossible.
+            self._aliases.clear()
         self._aliases[id(node)] = (node, canonical)
 
     def canonical(self, key: Hashable, build: Callable[[], object]) -> object:

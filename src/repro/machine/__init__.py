@@ -12,26 +12,30 @@ statistics of the run.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .._lazy import attach
 from ..core.errors import UsageError
 from ..core.fuel import DEFAULT_MACHINE_FUEL
-from ..core.terms import Term
-from .values import MachineOutcome
+
+if TYPE_CHECKING:
+    from ..core.terms import Term
+    from .values import MachineOutcome
 
 _export, _listed = attach(__name__, {
-    "cek": ("CEKMachine", "MACHINE_B", "MACHINE_C"),
-    "policy": ("BLAME_POLICY", "COERCION_POLICY", "SPACE_POLICY", "THREESOME_POLICY",
-               "BlamePolicy", "CastMediator", "CoercionPolicy", "MediationPolicy",
-               "SpacePolicy", "ThreesomePolicy"),
+    "cek": ("CEKMachine", "MACHINE_B", "MACHINE_C", "BLAME_POLICY", "COERCION_POLICY",
+            "BlamePolicy", "CastMediator", "CoercionPolicy"),
+    "policy": ("SPACE_POLICY", "MediationPolicy", "SpacePolicy"),
+    ".threesomes.runtime": ("THREESOME_POLICY", "ThreesomePolicy"),
     "profiler": ("MachineStats",),
-    "values": ("Environment", "MachineValue", "MClosure", "MConst", "MFixWrap", "MPair",
-               "MProxy", "machine_value_to_python"),
+    "values": ("Environment", "MachineOutcome", "MachineValue", "MClosure", "MConst",
+               "MFixWrap", "MPair", "MProxy", "machine_value_to_python"),
 })
 
-#: Names backed by the enforcement-semantics registry, resolved on use: the
-#: registry imports this package's submodules, so binding them here at import
-#: time would be circular.  ``MACHINE_S_THREESOME`` and ``MEDIATORS`` remain
-#: importable for compatibility, but the registry is the source of truth.
+#: Names backed by the enforcement-semantics registry, resolved on use:
+#: binding them at import time would build CEK machines on every import.
+#: ``MACHINE_S_THREESOME`` and ``MEDIATORS`` remain importable for
+#: compatibility, but the registry is the source of truth.
 _FROM_REGISTRY = ("MACHINE_S", "MACHINES", "MACHINE_S_THREESOME", "MEDIATORS")
 
 

@@ -7,6 +7,8 @@ make the space behaviour of gradually typed programs directly measurable.
 
 The machine is generic over a :class:`repro.machine.policy.MediationPolicy`;
 instantiating it with the λB, λC, or λS policy yields the three machines.
+The λB and λC policies live here, next to their only machines; the λS
+policies belong to the enforcement semantics the VMs run too.
 The single policy-controlled difference that matters for space is whether a
 newly pushed pending mediator is merged (``#``) into one already at the top
 of the continuation — only the λS machine does this.
@@ -14,7 +16,11 @@ of the continuation — only the λS machine does this.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..core.errors import EvaluationError, FuelExhausted
+from ..core.intern import intern_type
+from ..core.labels import Label
 from ..core.ops import op_spec
 from ..core.terms import (
     App,
@@ -33,6 +39,8 @@ from ..core.terms import (
     Term,
     Var,
 )
+from ..core.types import DynType, FunType, ProdType, Type, ground_of, is_ground, type_size
+from ..lambda_c import coercions as co_c
 from ..obs.trace import current_tracer
 from .frames import (
     Frame,
@@ -49,13 +57,7 @@ from .frames import (
     KPairRight,
     KSnd,
 )
-from .policy import (
-    BLAME_POLICY,
-    COERCION_POLICY,
-    MachineBlame,
-    MediationPolicy,
-    project_pair,
-)
+from .policy import MachineBlame, MediationPolicy, project_pair
 from .profiler import MachineStats
 from .values import (
     Environment,
@@ -293,6 +295,145 @@ class CEKMachine:
                 raise EvaluationError(f"operator {op!r} applied to a non-constant: {operand!r}")
             raw.append(operand.value)
         return MConst(spec.apply(raw), spec.result_type)
+
+
+# ---------------------------------------------------------------------------
+# λB: casts as mediators
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CastMediator:
+    """A λB cast ``A ⇒p B`` detached from its subject."""
+
+    source: Type
+    target: Type
+    label: Label
+
+
+class BlamePolicy(MediationPolicy):
+    """The λB machine's mediation policy (casts, no merging)."""
+
+    name = "B"
+    merges_pending_mediators = False
+
+    def is_mediation_node(self, term: Term) -> bool:
+        return isinstance(term, Cast)
+
+    def term_mediator(self, term: Term) -> CastMediator:
+        assert isinstance(term, Cast)
+        # Interned types make the structural comparisons in `apply` cheap:
+        # equal interned types are the same object, so `==` exits on identity.
+        return CastMediator(intern_type(term.source), intern_type(term.target), term.label)
+
+    def is_fun_proxy(self, mediator: CastMediator) -> bool:
+        return isinstance(mediator.source, FunType) and isinstance(mediator.target, FunType)
+
+    def is_prod_proxy(self, mediator: CastMediator) -> bool:
+        return isinstance(mediator.source, ProdType) and isinstance(mediator.target, ProdType)
+
+    def _is_injection(self, mediator: CastMediator) -> bool:
+        return isinstance(mediator.target, DynType) and is_ground(mediator.source)
+
+    def apply(self, value: MachineValue, m: CastMediator) -> MachineValue:
+        source, target, label = m.source, m.target, m.label
+
+        if source == target and not isinstance(source, (FunType, ProdType)):
+            return value  # ι ⇒ ι and ? ⇒ ?
+        if self.is_fun_proxy(m) or self.is_prod_proxy(m):
+            return MProxy(value, m)
+        if isinstance(target, DynType):
+            if is_ground(source):
+                return MProxy(value, m)
+            ground = ground_of(source)
+            staged = self.apply(value, CastMediator(source, ground, label))
+            return self.apply(staged, CastMediator(ground, target, label))
+        if isinstance(source, DynType):
+            if not is_ground(target):
+                ground = ground_of(target)
+                staged = self.apply(value, CastMediator(source, ground, label))
+                return self.apply(staged, CastMediator(ground, target, label))
+            # Projection out of ?: the value must be an injected proxy.
+            if isinstance(value, MProxy) and isinstance(value.mediator, CastMediator):
+                inner = value.mediator
+                if self._is_injection(inner):
+                    if inner.source == target:
+                        return value.under
+                    raise MachineBlame(label)
+            raise EvaluationError(f"projection applied to a non-injected value: {value!r}")
+        raise EvaluationError(f"no cast rule applies to {m!r}")
+
+    def fun_parts(self, m: CastMediator) -> tuple[CastMediator, CastMediator]:
+        source, target = m.source, m.target
+        assert isinstance(source, FunType) and isinstance(target, FunType)
+        dom = CastMediator(target.dom, source.dom, m.label.complement())
+        cod = CastMediator(source.cod, target.cod, m.label)
+        return dom, cod
+
+    def prod_parts(self, m: CastMediator) -> tuple[CastMediator, CastMediator]:
+        source, target = m.source, m.target
+        assert isinstance(source, ProdType) and isinstance(target, ProdType)
+        left = CastMediator(source.left, target.left, m.label)
+        right = CastMediator(source.right, target.right, m.label)
+        return left, right
+
+    def size(self, m: CastMediator) -> int:
+        return 1 + type_size(m.source) + type_size(m.target)
+
+
+# ---------------------------------------------------------------------------
+# λC: coercions as mediators (no merging)
+# ---------------------------------------------------------------------------
+
+
+class CoercionPolicy(MediationPolicy):
+    """The λC machine's mediation policy (Henglein coercions, no merging)."""
+
+    name = "C"
+    merges_pending_mediators = False
+
+    def is_mediation_node(self, term: Term) -> bool:
+        return isinstance(term, Coerce) and isinstance(term.coercion, co_c.Coercion)
+
+    def term_mediator(self, term: Term) -> co_c.Coercion:
+        assert isinstance(term, Coerce)
+        return co_c.intern_coercion(term.coercion)
+
+    def is_fun_proxy(self, mediator: co_c.Coercion) -> bool:
+        return isinstance(mediator, co_c.FunCoercion)
+
+    def is_prod_proxy(self, mediator: co_c.Coercion) -> bool:
+        return isinstance(mediator, co_c.ProdCoercion)
+
+    def apply(self, value: MachineValue, c: co_c.Coercion) -> MachineValue:
+        if isinstance(c, co_c.Identity):
+            return value
+        if isinstance(c, co_c.Sequence):
+            return self.apply(self.apply(value, c.first), c.second)
+        if isinstance(c, co_c.Fail):
+            raise MachineBlame(c.label)
+        if isinstance(c, co_c.Project):
+            if isinstance(value, MProxy) and isinstance(value.mediator, co_c.Inject):
+                if value.mediator.ground == c.ground:
+                    return value.under
+                raise MachineBlame(c.label)
+            raise EvaluationError(f"projection applied to a non-injected value: {value!r}")
+        if isinstance(c, (co_c.FunCoercion, co_c.ProdCoercion, co_c.Inject)):
+            return MProxy(value, c)
+        raise EvaluationError(f"unknown coercion: {c!r}")
+
+    def fun_parts(self, c: co_c.FunCoercion) -> tuple[co_c.Coercion, co_c.Coercion]:
+        return c.dom, c.cod
+
+    def prod_parts(self, c: co_c.ProdCoercion) -> tuple[co_c.Coercion, co_c.Coercion]:
+        return c.left, c.right
+
+    def size(self, c: co_c.Coercion) -> int:
+        return co_c.size(c)
+
+
+BLAME_POLICY = BlamePolicy()
+COERCION_POLICY = CoercionPolicy()
 
 
 #: The machines of the three calculi: casts (λB), coercions (λC), and

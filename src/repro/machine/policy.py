@@ -8,37 +8,27 @@ be merged into one.  Only the λS policy merges, using the composition
 operator ``#``; that single difference is what turns the linear space growth
 of the λB/λC machines into the constant pending-mediator footprint of the λS
 machine (the benchmark ``benchmarks/bench_space.py`` measures exactly this).
+
+This module holds the :class:`MediationPolicy` interface, the pieces both VMs
+share with the machine, and the λS policy the VMs execute by default.  Every
+other policy lives next to its only user or its runtime: the λB and λC
+policies in :mod:`repro.machine.cek` (they drive ``MACHINE_B``/``MACHINE_C``
+only), the threesome policy in :mod:`repro.threesomes.runtime`, and the
+transient and erasure policies in :mod:`repro.semantics`.  A cached run
+therefore imports the runtime of its own semantics and nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..core.errors import EvaluationError
-from ..core.intern import intern_type
 from ..core.labels import Label
-from ..core.terms import Cast, Coerce, Term
-from ..core.types import (
-    DynType,
-    FunType,
-    ProdType,
-    Type,
-    ground_of,
-    is_ground,
-    type_size,
-)
-from ..lambda_c import coercions as co_c
 from ..lambda_s import coercions as co_s
-from ..threesomes.labeled_types import LArrow, LBase, LDyn, LFail, LProd
-from ..threesomes.runtime import (
-    Threesome,
-    compose_threesome,
-    intern_threesome,
-    is_interned_threesome,
-    threesome_of_coercion,
-    threesome_size,
-)
 from .values import MachineValue, MPair, MProxy
+
+if TYPE_CHECKING:
+    from ..core.terms import Term
 
 
 def project_pair(value: MachineValue, first: bool, policy: "MediationPolicy") -> MachineValue:
@@ -123,141 +113,6 @@ class MediationPolicy:
 
 
 # ---------------------------------------------------------------------------
-# λB: casts as mediators
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CastMediator:
-    """A λB cast ``A ⇒p B`` detached from its subject."""
-
-    source: Type
-    target: Type
-    label: Label
-
-
-class BlamePolicy(MediationPolicy):
-    """The λB machine's mediation policy (casts, no merging)."""
-
-    name = "B"
-    merges_pending_mediators = False
-
-    def is_mediation_node(self, term: Term) -> bool:
-        return isinstance(term, Cast)
-
-    def term_mediator(self, term: Term) -> CastMediator:
-        assert isinstance(term, Cast)
-        # Interned types make the structural comparisons in `apply` cheap:
-        # equal interned types are the same object, so `==` exits on identity.
-        return CastMediator(intern_type(term.source), intern_type(term.target), term.label)
-
-    def is_fun_proxy(self, mediator: CastMediator) -> bool:
-        return isinstance(mediator.source, FunType) and isinstance(mediator.target, FunType)
-
-    def is_prod_proxy(self, mediator: CastMediator) -> bool:
-        return isinstance(mediator.source, ProdType) and isinstance(mediator.target, ProdType)
-
-    def _is_injection(self, mediator: CastMediator) -> bool:
-        return isinstance(mediator.target, DynType) and is_ground(mediator.source)
-
-    def apply(self, value: MachineValue, m: CastMediator) -> MachineValue:
-        source, target, label = m.source, m.target, m.label
-
-        if source == target and not isinstance(source, (FunType, ProdType)):
-            return value  # ι ⇒ ι and ? ⇒ ?
-        if self.is_fun_proxy(m) or self.is_prod_proxy(m):
-            return MProxy(value, m)
-        if isinstance(target, DynType):
-            if is_ground(source):
-                return MProxy(value, m)
-            ground = ground_of(source)
-            staged = self.apply(value, CastMediator(source, ground, label))
-            return self.apply(staged, CastMediator(ground, target, label))
-        if isinstance(source, DynType):
-            if not is_ground(target):
-                ground = ground_of(target)
-                staged = self.apply(value, CastMediator(source, ground, label))
-                return self.apply(staged, CastMediator(ground, target, label))
-            # Projection out of ?: the value must be an injected proxy.
-            if isinstance(value, MProxy) and isinstance(value.mediator, CastMediator):
-                inner = value.mediator
-                if self._is_injection(inner):
-                    if inner.source == target:
-                        return value.under
-                    raise MachineBlame(label)
-            raise EvaluationError(f"projection applied to a non-injected value: {value!r}")
-        raise EvaluationError(f"no cast rule applies to {m!r}")
-
-    def fun_parts(self, m: CastMediator) -> tuple[CastMediator, CastMediator]:
-        source, target = m.source, m.target
-        assert isinstance(source, FunType) and isinstance(target, FunType)
-        dom = CastMediator(target.dom, source.dom, m.label.complement())
-        cod = CastMediator(source.cod, target.cod, m.label)
-        return dom, cod
-
-    def prod_parts(self, m: CastMediator) -> tuple[CastMediator, CastMediator]:
-        source, target = m.source, m.target
-        assert isinstance(source, ProdType) and isinstance(target, ProdType)
-        left = CastMediator(source.left, target.left, m.label)
-        right = CastMediator(source.right, target.right, m.label)
-        return left, right
-
-    def size(self, m: CastMediator) -> int:
-        return 1 + type_size(m.source) + type_size(m.target)
-
-
-# ---------------------------------------------------------------------------
-# λC: coercions as mediators (no merging)
-# ---------------------------------------------------------------------------
-
-
-class CoercionPolicy(MediationPolicy):
-    """The λC machine's mediation policy (Henglein coercions, no merging)."""
-
-    name = "C"
-    merges_pending_mediators = False
-
-    def is_mediation_node(self, term: Term) -> bool:
-        return isinstance(term, Coerce) and isinstance(term.coercion, co_c.Coercion)
-
-    def term_mediator(self, term: Term) -> co_c.Coercion:
-        assert isinstance(term, Coerce)
-        return co_c.intern_coercion(term.coercion)
-
-    def is_fun_proxy(self, mediator: co_c.Coercion) -> bool:
-        return isinstance(mediator, co_c.FunCoercion)
-
-    def is_prod_proxy(self, mediator: co_c.Coercion) -> bool:
-        return isinstance(mediator, co_c.ProdCoercion)
-
-    def apply(self, value: MachineValue, c: co_c.Coercion) -> MachineValue:
-        if isinstance(c, co_c.Identity):
-            return value
-        if isinstance(c, co_c.Sequence):
-            return self.apply(self.apply(value, c.first), c.second)
-        if isinstance(c, co_c.Fail):
-            raise MachineBlame(c.label)
-        if isinstance(c, co_c.Project):
-            if isinstance(value, MProxy) and isinstance(value.mediator, co_c.Inject):
-                if value.mediator.ground == c.ground:
-                    return value.under
-                raise MachineBlame(c.label)
-            raise EvaluationError(f"projection applied to a non-injected value: {value!r}")
-        if isinstance(c, (co_c.FunCoercion, co_c.ProdCoercion, co_c.Inject)):
-            return MProxy(value, c)
-        raise EvaluationError(f"unknown coercion: {c!r}")
-
-    def fun_parts(self, c: co_c.FunCoercion) -> tuple[co_c.Coercion, co_c.Coercion]:
-        return c.dom, c.cod
-
-    def prod_parts(self, c: co_c.ProdCoercion) -> tuple[co_c.Coercion, co_c.Coercion]:
-        return c.left, c.right
-
-    def size(self, c: co_c.Coercion) -> int:
-        return co_c.size(c)
-
-
-# ---------------------------------------------------------------------------
 # λS: canonical coercions as mediators, with merging
 # ---------------------------------------------------------------------------
 
@@ -275,10 +130,12 @@ class SpacePolicy(MediationPolicy):
         self._size_cache: dict[int, int] = {}
 
     def is_mediation_node(self, term: Term) -> bool:
-        return isinstance(term, Coerce) and isinstance(term.coercion, co_s.SpaceCoercion)
+        # Of all terms only ``Coerce`` has a ``coercion`` field; testing the
+        # field rather than the class keeps :mod:`repro.core.terms` off the
+        # import path of the VMs, which share this policy.
+        return isinstance(getattr(term, "coercion", None), co_s.SpaceCoercion)
 
     def term_mediator(self, term: Term) -> co_s.SpaceCoercion:
-        assert isinstance(term, Coerce)
         # Interning here keeps every mediator the machine ever holds canonical,
         # so the compose_memo cache below is hit on the node's identity.
         return co_s.intern_space(term.coercion)
@@ -337,169 +194,4 @@ class SpacePolicy(MediationPolicy):
         return ACT_GENERAL  # FailS blames, Projection errors — via apply()
 
 
-# ---------------------------------------------------------------------------
-# λS with threesomes: labeled types as mediators, merged with ∘
-# ---------------------------------------------------------------------------
-
-
-class ThreesomePolicy(MediationPolicy):
-    """The λS machine's *threesome* mediator backend (§6.1 made executable).
-
-    Interprets exactly the terms :class:`SpacePolicy` does — ``Coerce`` nodes
-    carrying canonical coercions — but represents every runtime mediator as a
-    :class:`~repro.threesomes.runtime.Threesome` ``⟨T ⇐P= S⟩`` and merges
-    pending mediators with labeled-type composition ``∘``
-    (:func:`~repro.threesomes.runtime.compose_threesome`, memoised on interned
-    identity like ``#``).  Observables — values, blame labels, timeouts, and
-    the constant pending-mediator footprint — agree with the coercion backend
-    (enforced by ``check_mediator_oracle``).
-    """
-
-    name = "S"
-    mediator = "threesome"
-    merges_pending_mediators = True
-
-    def __init__(self) -> None:
-        # All keyed by the identity of interned threesomes (immortal nodes,
-        # stable ids) — the same discipline as SpacePolicy's size cache.  The
-        # part caches matter most: a proxied call applies fun_parts on the
-        # same mediator once per iteration, and rebuilding + re-interning two
-        # threesomes each time would cost the backend its parity with λS.
-        self._size_cache: dict[int, int] = {}
-        self._fun_parts_cache: dict[int, tuple] = {}
-        self._prod_parts_cache: dict[int, tuple] = {}
-        # What applying the mediator to a *non-proxy* value does, resolved
-        # once per interned threesome: the isinstance ladder over (mid,
-        # source, target) collapses to a dictionary hit on the hot path.
-        self._action_cache: dict[int, int] = {}
-
-    def is_mediation_node(self, term: Term) -> bool:
-        return isinstance(term, Coerce) and isinstance(term.coercion, co_s.SpaceCoercion)
-
-    def term_mediator(self, term: Term) -> Threesome:
-        assert isinstance(term, Coerce)
-        return threesome_of_coercion(term.coercion)
-
-    def is_fun_proxy(self, t: Threesome) -> bool:
-        return (
-            isinstance(t.mid, LArrow)
-            and not isinstance(t.source, DynType)
-            and not isinstance(t.target, DynType)
-        )
-
-    def is_prod_proxy(self, t: Threesome) -> bool:
-        return (
-            isinstance(t.mid, LProd)
-            and not isinstance(t.source, DynType)
-            and not isinstance(t.target, DynType)
-        )
-
-    #: Action codes for :meth:`apply` on non-proxy values.
-    _IDENTITY, _BLAME, _PROXY, _PROJECT_ERROR = range(4)
-
-    def _classify(self, t: Threesome) -> int:
-        """What applying ``t`` to a non-proxy value does (see :meth:`apply`)."""
-        mid = t.mid
-        if isinstance(mid, LDyn):
-            return self._IDENTITY  # ⟨? ⇐?= ?⟩
-        if isinstance(t.source, DynType):
-            # A dynamic source means a projection prefix: only an injected
-            # proxy can satisfy it, and proxies are absorbed before this.
-            return self._PROJECT_ERROR
-        if isinstance(mid, LFail):
-            return self._BLAME
-        if isinstance(t.target, DynType):
-            return self._PROXY  # injection into ?
-        if isinstance(mid, LBase):
-            return self._IDENTITY  # ⟨ι ⇐ι= ι⟩
-        if isinstance(mid, (LArrow, LProd)):
-            return self._PROXY  # higher-order proxy
-        raise EvaluationError(f"unknown threesome mediator: {t!r}")
-
-    def apply(self, value: MachineValue, t: Threesome) -> MachineValue:
-        # A proxied value absorbs the new threesome by composition, mirroring
-        # the λS policy's value-level merge.
-        if isinstance(value, MProxy) and isinstance(value.mediator, Threesome):
-            return self.apply(value.under, compose_threesome(value.mediator, t))
-        action = self._action_cache.get(id(t))
-        if action is None:
-            t = intern_threesome(t)
-            action = self._classify(t)
-            self._action_cache[id(t)] = action
-        if action == 0:  # _IDENTITY
-            return value
-        if action == 2:  # _PROXY
-            return MProxy(value, t)
-        if action == 1:  # _BLAME
-            raise MachineBlame(t.mid.fail_label)
-        raise EvaluationError(f"projection applied to a non-injected value: {value!r}")
-
-    def _split_types(self, t, structural_type):
-        source = t.source if isinstance(t.source, structural_type) else None
-        target = t.target if isinstance(t.target, structural_type) else None
-        if source is None or target is None:
-            raise EvaluationError(f"malformed structural threesome: {t!r}")
-        return source, target
-
-    def fun_parts(self, t: Threesome) -> tuple[Threesome, Threesome]:
-        t = intern_threesome(t)
-        cached = self._fun_parts_cache.get(id(t))
-        if cached is not None:
-            return cached
-        source, target = self._split_types(t, FunType)
-        dom = intern_threesome(Threesome(target.dom, t.mid.dom, source.dom))
-        cod = intern_threesome(Threesome(source.cod, t.mid.cod, target.cod))
-        parts = (dom, cod)
-        self._fun_parts_cache[id(t)] = parts
-        return parts
-
-    def prod_parts(self, t: Threesome) -> tuple[Threesome, Threesome]:
-        t = intern_threesome(t)
-        cached = self._prod_parts_cache.get(id(t))
-        if cached is not None:
-            return cached
-        source, target = self._split_types(t, ProdType)
-        left = intern_threesome(Threesome(source.left, t.mid.left, target.left))
-        right = intern_threesome(Threesome(source.right, t.mid.right, target.right))
-        parts = (left, right)
-        self._prod_parts_cache[id(t)] = parts
-        return parts
-
-    def compose(self, first: Threesome, second: Threesome) -> Threesome:
-        return compose_threesome(first, second)
-
-    def size(self, t: Threesome) -> int:
-        if not is_interned_threesome(t):
-            return threesome_size(t)
-        cached = self._size_cache.get(id(t))
-        if cached is None:
-            cached = threesome_size(t)
-            self._size_cache[id(t)] = cached
-        return cached
-
-    def is_identity(self, t: Threesome) -> bool:
-        # Mirror SpacePolicy.is_identity through the §6.1 representation map,
-        # so the optimizer elides exactly the same mediators on both
-        # backends (canonical identities included).
-        from ..lambda_s.coercions import is_canonical_identity
-        from ..threesomes.runtime import coercion_of_threesome
-
-        return is_canonical_identity(coercion_of_threesome(t))
-
-    def classify(self, t: Threesome) -> int:
-        action = self._action_cache.get(id(t))
-        if action is None:
-            t = intern_threesome(t)
-            action = self._classify(t)
-            self._action_cache[id(t)] = action
-        if action == self._IDENTITY:
-            return ACT_IDENTITY
-        if action == self._PROXY:
-            return ACT_WRAP
-        return ACT_GENERAL  # _BLAME and _PROJECT_ERROR — via apply()
-
-
-BLAME_POLICY = BlamePolicy()
-COERCION_POLICY = CoercionPolicy()
 SPACE_POLICY = SpacePolicy()
-THREESOME_POLICY = ThreesomePolicy()

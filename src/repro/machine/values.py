@@ -15,12 +15,14 @@ rather than substitution, so they have their own value representation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..core.errors import EvaluationError
 from ..core.labels import Label
-from ..core.terms import Term
 from ..core.types import FunType, Type
+
+if TYPE_CHECKING:
+    from ..core.terms import Term
 
 
 class MachineValue:

@@ -32,35 +32,36 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
+from .._lazy import attach
 from ..core.errors import UsageError
-from ..machine.policy import SPACE_POLICY, THREESOME_POLICY, MediationPolicy
-from ..threesomes.runtime import threesome_of_coercion
-from .erasure import ERASED, ERASURE_POLICY, ErasedMediator, ErasurePolicy
-from .transient import (
-    TRANSIENT_POLICY,
-    TransientCheck,
-    TransientPolicy,
-    compose_transient,
-    transient_of_coercion,
-)
 
 if TYPE_CHECKING:
     from ..machine.cek import CEKMachine
+    from ..machine.policy import MediationPolicy
+
+__getattr__, __dir__ = attach(__name__, {
+    "erasure": ("ERASED", "ERASURE_POLICY", "ErasedMediator", "ErasurePolicy"),
+    "transient": ("TRANSIENT_POLICY", "TransientCheck", "TransientPolicy",
+                  "compose_transient", "transient_of_coercion"),
+}, submodules=("erasure", "transient"))
 
 
 @dataclass(frozen=True)
 class EnforcementSemantics:
     """One entry of the registry: everything the pipeline needs per backend.
 
-    ``policy`` is the shared :class:`MediationPolicy` instance the machines,
+    ``load`` returns the backend's runtime: the shared
+    :class:`~repro.machine.policy.MediationPolicy` instance the machines,
     VMs, and optimizer all execute with (so ``is_identity``/``compose``
-    agree by construction); :attr:`machine` is the CEK machine running it.
-    ``pre_intern`` maps an *interned* canonical λS coercion to the node this
-    backend pools (:meth:`ConstantPool.add_coercion` calls it once per
-    distinct coercion).  ``serialize_id`` is the provenance string written
-    into ``.gradb`` headers and ``cache_key`` the compile-cache axis — kept
-    as separate fields so a representation change can version one without
-    the other.
+    agree by construction), and the function pooling a coercion.  It imports
+    the backend's module, so it runs on first use of :attr:`policy` or
+    :attr:`pre_intern`: a run imports the runtime of its own semantics only.
+    :attr:`machine` is the CEK machine running the policy.  ``pre_intern``
+    maps an *interned* canonical λS coercion to the node this backend pools
+    (:meth:`ConstantPool.add_coercion` calls it once per distinct coercion).
+    ``serialize_id`` is the provenance string written into ``.gradb``
+    headers and ``cache_key`` the compile-cache axis — kept as separate
+    fields so a representation change can version one without the other.
 
     Capability flags: ``blames`` — can a run ever end in blame;
     ``space_bounded`` — does the backend preserve the constant
@@ -70,13 +71,22 @@ class EnforcementSemantics:
     """
 
     name: str
-    policy: MediationPolicy
-    pre_intern: Callable[[object], object]
+    load: Callable[[], tuple[MediationPolicy, Callable[[object], object]]]
     serialize_id: str
     cache_key: str
     blames: bool
     space_bounded: bool
     natural: bool
+
+    @cached_property
+    def policy(self) -> MediationPolicy:
+        """The mediation policy executing this semantics (one shared instance)."""
+        return self.load()[0]
+
+    @cached_property
+    def pre_intern(self) -> Callable[[object], object]:
+        """The pooled node of an interned canonical coercion."""
+        return self.load()[1]
 
     @cached_property
     def machine(self) -> CEKMachine:
@@ -91,8 +101,28 @@ def _pool_coercion(s: object) -> object:
     return s  # already interned by add_coercion
 
 
-def _pool_erased(s: object) -> object:
-    return ERASED
+def _coercion_runtime():
+    from ..machine.policy import SPACE_POLICY
+
+    return SPACE_POLICY, _pool_coercion
+
+
+def _threesome_runtime():
+    from ..threesomes.runtime import THREESOME_POLICY, threesome_of_coercion
+
+    return THREESOME_POLICY, threesome_of_coercion
+
+
+def _transient_runtime():
+    from .transient import TRANSIENT_POLICY, transient_of_coercion
+
+    return TRANSIENT_POLICY, transient_of_coercion
+
+
+def _erasure_runtime():
+    from .erasure import ERASURE_POLICY, erased_of_coercion
+
+    return ERASURE_POLICY, erased_of_coercion
 
 
 #: The registry, in presentation order (CLI choices, benchmark sweeps, and
@@ -102,8 +132,7 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
     for sem in (
         EnforcementSemantics(
             name="coercion",
-            policy=SPACE_POLICY,
-            pre_intern=_pool_coercion,
+            load=_coercion_runtime,
             serialize_id="coercion",
             cache_key="coercion",
             blames=True,
@@ -112,8 +141,7 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
         ),
         EnforcementSemantics(
             name="threesome",
-            policy=THREESOME_POLICY,
-            pre_intern=threesome_of_coercion,
+            load=_threesome_runtime,
             serialize_id="threesome",
             cache_key="threesome",
             blames=True,
@@ -122,8 +150,7 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
         ),
         EnforcementSemantics(
             name="transient",
-            policy=TRANSIENT_POLICY,
-            pre_intern=transient_of_coercion,
+            load=_transient_runtime,
             serialize_id="transient",
             cache_key="transient",
             blames=True,
@@ -132,8 +159,7 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
         ),
         EnforcementSemantics(
             name="erasure",
-            policy=ERASURE_POLICY,
-            pre_intern=_pool_erased,
+            load=_erasure_runtime,
             serialize_id="erasure",
             cache_key="erasure",
             blames=False,

@@ -17,10 +17,14 @@ with blame.
 
 from __future__ import annotations
 
-from ..core.terms import Coerce, Term
+from typing import TYPE_CHECKING
+
 from ..lambda_s import coercions as co_s
 from ..machine.policy import ACT_IDENTITY, MediationPolicy
 from ..machine.values import MachineValue
+
+if TYPE_CHECKING:
+    from ..core.terms import Term
 
 
 class ErasedMediator:
@@ -36,6 +40,11 @@ class ErasedMediator:
 ERASED = ErasedMediator()
 
 
+def erased_of_coercion(s: co_s.SpaceCoercion) -> ErasedMediator:
+    """The erasure pool entry of any canonical coercion: :data:`ERASED`."""
+    return ERASED
+
+
 class ErasurePolicy(MediationPolicy):
     """The λS machine/VM with enforcement erased (never blames)."""
 
@@ -44,10 +53,10 @@ class ErasurePolicy(MediationPolicy):
     merges_pending_mediators = True
 
     def is_mediation_node(self, term: Term) -> bool:
-        return isinstance(term, Coerce) and isinstance(term.coercion, co_s.SpaceCoercion)
+        # Only ``Coerce`` has a ``coercion`` field (see SpacePolicy).
+        return isinstance(getattr(term, "coercion", None), co_s.SpaceCoercion)
 
     def term_mediator(self, term: Term) -> ErasedMediator:
-        assert isinstance(term, Coerce)
         return ERASED
 
     def is_fun_proxy(self, m: ErasedMediator) -> bool:

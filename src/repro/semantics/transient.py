@@ -21,10 +21,10 @@ discipline of the λS machine carries over unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..core.errors import EvaluationError
 from ..core.labels import Label
-from ..core.terms import Coerce, Term
 from ..core.types import BaseType, FunType, ProdType, Type
 from ..lambda_s import coercions as co_s
 from ..machine.policy import (
@@ -34,6 +34,9 @@ from ..machine.policy import (
     MediationPolicy,
 )
 from ..machine.values import MachineValue, MConst, MFunctionValue, MPair
+
+if TYPE_CHECKING:
+    from ..core.terms import Term
 
 
 @dataclass(frozen=True)
@@ -163,10 +166,10 @@ class TransientPolicy(MediationPolicy):
     merges_pending_mediators = True
 
     def is_mediation_node(self, term: Term) -> bool:
-        return isinstance(term, Coerce) and isinstance(term.coercion, co_s.SpaceCoercion)
+        # Only ``Coerce`` has a ``coercion`` field (see SpacePolicy).
+        return isinstance(getattr(term, "coercion", None), co_s.SpaceCoercion)
 
     def term_mediator(self, term: Term) -> TransientCheck:
-        assert isinstance(term, Coerce)
         return transient_of_coercion(term.coercion)
 
     def is_fun_proxy(self, t: TransientCheck) -> bool:

@@ -377,8 +377,9 @@ class _Worker:
 #: The modules the worker jobs execute: the front end, the translations,
 #: the compiler pipeline, the compile cache and both VMs.  Workers are
 #: forked, so a module the parent has imported is already loaded in every
-#: worker; :class:`WorkerPool` imports these before its first fork so that no
-#: worker, fresh or a replacement, imports them again on its first job.
+#: worker; :class:`WorkerPool` imports these, and the runtime of every
+#: registered semantics, before its first fork so that no worker, fresh or
+#: a replacement, imports them again on its first job.
 _JOB_MODULES = (
     "repro.surface.interp",
     "repro.surface.parser",
@@ -425,11 +426,14 @@ class WorkerPool:
         poll_interval_s: float = 0.02,
     ) -> None:
         from ..core.faults import _env_seed
+        from ..semantics import SEMANTICS
 
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         for module in _JOB_MODULES:
             importlib.import_module(module)
+        for semantics in SEMANTICS.values():
+            semantics.load()
         if faults is None:
             faults = os.environ.get(FAULTS_ENV, "")
         self.size = size

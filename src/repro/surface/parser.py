@@ -20,6 +20,13 @@ Grammar (informally)::
 
 Every cast inserted by elaboration carries a blame label derived from the
 source location of the expression that required it.
+
+Parentheses and brackets nest at most :data:`MAX_NESTING` levels deep; the
+reader rejects a deeper program with a :class:`ParseError` at the first
+delimiter past the limit.  Elaboration, the translations, lowering and the
+engines all recurse over the program's structure, so the limit keeps every
+accepted program within the interpreter's recursion limit on every engine
+and semantics (exit 2, not an internal error).
 """
 
 from __future__ import annotations
@@ -74,6 +81,13 @@ _TYPE_NAMES = {
 }
 
 
+#: How deeply parentheses and brackets may nest.  Every later pass recurses
+#: over the program, several Python frames per level: 200 leaves headroom
+#: under the default recursion limit of 1000 for the most frame-hungry
+#: shapes (nested function types overflowed at about 250 levels).
+MAX_NESTING = 200
+
+
 # ---------------------------------------------------------------------------
 # S-expression reader
 # ---------------------------------------------------------------------------
@@ -102,17 +116,20 @@ class _SExpr:
 def _read_all(tokens: list[Token]) -> list[_SExpr]:
     position = 0
 
-    def read() -> _SExpr:
+    def read(depth: int) -> _SExpr:
         nonlocal position
         if position >= len(tokens):
             raise ParseError("unexpected end of input")
         token = tokens[position]
         if token.kind in ("lparen", "lbracket"):
+            if depth >= MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                                 token.location.line, token.location.column)
             closing = "rparen" if token.kind == "lparen" else "rbracket"
             position += 1
             items: list[_SExpr] = []
             while position < len(tokens) and tokens[position].kind != closing:
-                items.append(read())
+                items.append(read(depth + 1))
             if position >= len(tokens):
                 raise ParseError("missing closing parenthesis", token.location.line, token.location.column)
             position += 1  # consume the closing delimiter
@@ -124,7 +141,7 @@ def _read_all(tokens: list[Token]) -> list[_SExpr]:
 
     forms: list[_SExpr] = []
     while position < len(tokens):
-        forms.append(read())
+        forms.append(read(0))
     return forms
 
 

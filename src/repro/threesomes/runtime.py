@@ -19,15 +19,17 @@ The representation gets exactly the performance treatment λS coercions got in
   boundary-crossing loop merging the same pending pair every iteration pays
   one dictionary hit per merge.
 
-The mediation semantics itself lives in
-:class:`repro.machine.policy.ThreesomePolicy`; the equivalence with the
+The mediation semantics itself is :class:`ThreesomePolicy`, at the end of
+this module; the equivalence with the
 coercion backend is enforced end to end by
 :func:`repro.properties.bisimulation.check_mediator_oracle`.
 """
 
 from __future__ import annotations
 
-from ..core.errors import CoercionTypeError
+from typing import TYPE_CHECKING
+
+from ..core.errors import CoercionTypeError, EvaluationError
 from ..core.intern import Interner, intern_type
 from ..core.types import DYN, DynType, FunType, ProdType, Type
 from ..lambda_s.coercions import (
@@ -40,7 +42,10 @@ from ..lambda_s.coercions import (
     Projection,
     SpaceCoercion,
     intern_space,
+    is_canonical_identity,
 )
+from ..machine.policy import ACT_GENERAL, ACT_IDENTITY, ACT_WRAP, MachineBlame, MediationPolicy
+from ..machine.values import MachineValue, MProxy
 from .compose import compose_labeled
 from .labeled_types import (
     DYN_LABELED,
@@ -52,6 +57,9 @@ from .labeled_types import (
     LabeledType,
 )
 from .translate import coercion_of_labeled, labeled_of_coercion
+
+if TYPE_CHECKING:
+    from ..core.terms import Term
 
 
 class Threesome:
@@ -333,3 +341,165 @@ def is_identity_threesome(t: Threesome) -> bool:
         and not isinstance(t.source, DynType)
         and not isinstance(t.target, DynType)
     )
+
+
+# ---------------------------------------------------------------------------
+# λS with threesomes: labeled types as mediators, merged with ∘
+# ---------------------------------------------------------------------------
+
+
+class ThreesomePolicy(MediationPolicy):
+    """The λS machine's *threesome* mediator backend (§6.1 made executable).
+
+    Interprets exactly the terms :class:`~repro.machine.policy.SpacePolicy`
+    does — ``Coerce`` nodes carrying canonical coercions — but represents
+    every runtime mediator as a :class:`Threesome` ``⟨T ⇐P= S⟩`` and merges
+    pending mediators with labeled-type composition ``∘``
+    (:func:`compose_threesome`, memoised on interned
+    identity like ``#``).  Observables — values, blame labels, timeouts, and
+    the constant pending-mediator footprint — agree with the coercion backend
+    (enforced by ``check_mediator_oracle``).
+    """
+
+    name = "S"
+    mediator = "threesome"
+    merges_pending_mediators = True
+
+    def __init__(self) -> None:
+        # All keyed by the identity of interned threesomes (immortal nodes,
+        # stable ids) — the same discipline as SpacePolicy's size cache.  The
+        # part caches matter most: a proxied call applies fun_parts on the
+        # same mediator once per iteration, and rebuilding + re-interning two
+        # threesomes each time would cost the backend its parity with λS.
+        self._size_cache: dict[int, int] = {}
+        self._fun_parts_cache: dict[int, tuple] = {}
+        self._prod_parts_cache: dict[int, tuple] = {}
+        # What applying the mediator to a *non-proxy* value does, resolved
+        # once per interned threesome: the isinstance ladder over (mid,
+        # source, target) collapses to a dictionary hit on the hot path.
+        self._action_cache: dict[int, int] = {}
+
+    def is_mediation_node(self, term: Term) -> bool:
+        # Only ``Coerce`` has a ``coercion`` field (see SpacePolicy).
+        return isinstance(getattr(term, "coercion", None), SpaceCoercion)
+
+    def term_mediator(self, term: Term) -> Threesome:
+        return threesome_of_coercion(term.coercion)
+
+    def is_fun_proxy(self, t: Threesome) -> bool:
+        return (
+            isinstance(t.mid, LArrow)
+            and not isinstance(t.source, DynType)
+            and not isinstance(t.target, DynType)
+        )
+
+    def is_prod_proxy(self, t: Threesome) -> bool:
+        return (
+            isinstance(t.mid, LProd)
+            and not isinstance(t.source, DynType)
+            and not isinstance(t.target, DynType)
+        )
+
+    #: Action codes for :meth:`apply` on non-proxy values.
+    _IDENTITY, _BLAME, _PROXY, _PROJECT_ERROR = range(4)
+
+    def _classify(self, t: Threesome) -> int:
+        """What applying ``t`` to a non-proxy value does (see :meth:`apply`)."""
+        mid = t.mid
+        if isinstance(mid, LDyn):
+            return self._IDENTITY  # ⟨? ⇐?= ?⟩
+        if isinstance(t.source, DynType):
+            # A dynamic source means a projection prefix: only an injected
+            # proxy can satisfy it, and proxies are absorbed before this.
+            return self._PROJECT_ERROR
+        if isinstance(mid, LFail):
+            return self._BLAME
+        if isinstance(t.target, DynType):
+            return self._PROXY  # injection into ?
+        if isinstance(mid, LBase):
+            return self._IDENTITY  # ⟨ι ⇐ι= ι⟩
+        if isinstance(mid, (LArrow, LProd)):
+            return self._PROXY  # higher-order proxy
+        raise EvaluationError(f"unknown threesome mediator: {t!r}")
+
+    def apply(self, value: MachineValue, t: Threesome) -> MachineValue:
+        # A proxied value absorbs the new threesome by composition, mirroring
+        # the λS policy's value-level merge.
+        if isinstance(value, MProxy) and isinstance(value.mediator, Threesome):
+            return self.apply(value.under, compose_threesome(value.mediator, t))
+        action = self._action_cache.get(id(t))
+        if action is None:
+            t = intern_threesome(t)
+            action = self._classify(t)
+            self._action_cache[id(t)] = action
+        if action == 0:  # _IDENTITY
+            return value
+        if action == 2:  # _PROXY
+            return MProxy(value, t)
+        if action == 1:  # _BLAME
+            raise MachineBlame(t.mid.fail_label)
+        raise EvaluationError(f"projection applied to a non-injected value: {value!r}")
+
+    def _split_types(self, t, structural_type):
+        source = t.source if isinstance(t.source, structural_type) else None
+        target = t.target if isinstance(t.target, structural_type) else None
+        if source is None or target is None:
+            raise EvaluationError(f"malformed structural threesome: {t!r}")
+        return source, target
+
+    def fun_parts(self, t: Threesome) -> tuple[Threesome, Threesome]:
+        t = intern_threesome(t)
+        cached = self._fun_parts_cache.get(id(t))
+        if cached is not None:
+            return cached
+        source, target = self._split_types(t, FunType)
+        dom = intern_threesome(Threesome(target.dom, t.mid.dom, source.dom))
+        cod = intern_threesome(Threesome(source.cod, t.mid.cod, target.cod))
+        parts = (dom, cod)
+        self._fun_parts_cache[id(t)] = parts
+        return parts
+
+    def prod_parts(self, t: Threesome) -> tuple[Threesome, Threesome]:
+        t = intern_threesome(t)
+        cached = self._prod_parts_cache.get(id(t))
+        if cached is not None:
+            return cached
+        source, target = self._split_types(t, ProdType)
+        left = intern_threesome(Threesome(source.left, t.mid.left, target.left))
+        right = intern_threesome(Threesome(source.right, t.mid.right, target.right))
+        parts = (left, right)
+        self._prod_parts_cache[id(t)] = parts
+        return parts
+
+    def compose(self, first: Threesome, second: Threesome) -> Threesome:
+        return compose_threesome(first, second)
+
+    def size(self, t: Threesome) -> int:
+        if not is_interned_threesome(t):
+            return threesome_size(t)
+        cached = self._size_cache.get(id(t))
+        if cached is None:
+            cached = threesome_size(t)
+            self._size_cache[id(t)] = cached
+        return cached
+
+    def is_identity(self, t: Threesome) -> bool:
+        # Mirror SpacePolicy.is_identity through the §6.1 representation map,
+        # so the optimizer elides exactly the same mediators on both
+        # backends (canonical identities included).
+        return is_canonical_identity(coercion_of_threesome(t))
+
+    def classify(self, t: Threesome) -> int:
+        action = self._action_cache.get(id(t))
+        if action is None:
+            t = intern_threesome(t)
+            action = self._classify(t)
+            self._action_cache[id(t)] = action
+        if action == self._IDENTITY:
+            return ACT_IDENTITY
+        if action == self._PROXY:
+            return ACT_WRAP
+        return ACT_GENERAL  # _BLAME and _PROJECT_ERROR — via apply()
+
+
+THREESOME_POLICY = ThreesomePolicy()

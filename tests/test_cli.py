@@ -172,11 +172,17 @@ class TestExitCodeScheme:
         assert main(["run", str(path)]) == 2
         assert "is not valid UTF-8 (byte 19)" in capsys.readouterr().err
 
-    def test_an_unexpected_exception_is_an_internal_error_not_blame(self, tmp_path, capsys):
-        # 500 nested additions exhaust the interpreter's recursion limit; the
-        # RecursionError used to escape with a traceback and exit code 1.
-        path = tmp_path / "deep.grad"
-        path.write_text("(+ 1 " * 500 + "0" + ")" * 500 + "\n")
+    def test_an_unexpected_exception_is_an_internal_error_not_blame(
+            self, tmp_path, capsys, monkeypatch):
+        # A RecursionError used to escape with a traceback and exit code 1.
+        # Deep programs are now a parse error (see TestNestingLimit), so the
+        # fault is injected into the run itself.
+        def overflow(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("repro.cli.run", overflow)
+        path = tmp_path / "square.grad"
+        path.write_text("(+ 1 2)\n")
         assert main(["run", str(path)]) == EXIT_INTERNAL_ERROR == 70
         err = capsys.readouterr().err
         assert err.startswith("internal error: RecursionError: ")

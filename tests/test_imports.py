@@ -27,7 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(repro.__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
-#: Packages and modules a cache-hit ``run --engine rvm`` must not load.
+#: Packages and modules a cache-hit ``run --engine rvm`` of a coercion
+#: image must not load.
 NOT_ON_THE_HIT_PATH = (
     "repro.properties",
     "repro.gen",
@@ -45,7 +46,24 @@ NOT_ON_THE_HIT_PATH = (
     "repro.translate",
     "repro.machine.cek",
     "repro.obs.events",
+    # λB/λC terms and coercions, the optimizer, and the runtimes of the
+    # other semantics: a coercion image needs λS coercions and ``#`` only.
+    "repro.core.terms",
+    "repro.lambda_c",
+    "repro.threesomes",
+    "repro.semantics.transient",
+    "repro.semantics.erasure",
+    "repro.compiler.opt",
 )
+
+#: The runtime a cache hit of each other semantics loads, and no other one.
+#: (The coercion runtime is the λS policy in ``repro.machine.policy``, next
+#: to the policy interface every semantics loads.)
+RUNTIMES = {
+    "threesome": "repro.threesomes",
+    "transient": "repro.semantics.transient",
+    "erasure": "repro.semantics.erasure",
+}
 
 _RUN_AND_LIST_MODULES = """
 import json, sys
@@ -56,32 +74,36 @@ print(json.dumps({"exit": code,
 """
 
 
-def _cli_in_fresh_interpreter(argv: list[str], cache_dir: Path) -> tuple[int, set[str]]:
-    """Run ``repro.cli.main(argv)`` in a new interpreter: its exit code and
-    the ``repro`` modules loaded by the end of the run."""
+def _cli_in_fresh_interpreter(argv: list[str], cache_dir: Path) -> tuple[int, set[str], str]:
+    """Run ``repro.cli.main(argv)`` in a new interpreter: its exit code, the
+    ``repro`` modules loaded by the end of the run, and what it printed."""
     env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_GRADUAL_CACHE_DIR=str(cache_dir))
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    return report["exit"], set(report["modules"])
+    *printed, last = proc.stdout.splitlines()
+    report = json.loads(last)
+    return report["exit"], set(report["modules"]), "\n".join(printed)
 
 
 def _loaded(modules: set[str], name: str) -> bool:
     return name in modules or any(m.startswith(name + ".") for m in modules)
 
 
+SQUARE = "(define (square [x : int]) : int (* x x))\n(square (: 6 ?))\n"
+
+
 class TestColdRunPath:
     def test_a_cache_hit_loads_no_oracle_generator_or_front_end(self, tmp_path):
         program = tmp_path / "square.grad"
-        program.write_text("(define (square [x : int]) : int (* x x))\n(square (: 6 ?))\n")
+        program.write_text(SQUARE)
         argv = ["run", "--engine", "rvm", str(program)]
         cache = tmp_path / "cache"
 
-        miss_exit, miss_modules = _cli_in_fresh_interpreter(argv, cache)
-        hit_exit, hit_modules = _cli_in_fresh_interpreter(argv, cache)
+        miss_exit, miss_modules, _ = _cli_in_fresh_interpreter(argv, cache)
+        hit_exit, hit_modules, _ = _cli_in_fresh_interpreter(argv, cache)
 
         assert miss_exit == hit_exit == 0
         # A miss compiles the source, so the front end must load ...
@@ -90,6 +112,28 @@ class TestColdRunPath:
         assert {"repro.compiler.cache", "repro.compiler.rvm"} <= hit_modules
         loaded = [name for name in NOT_ON_THE_HIT_PATH if _loaded(hit_modules, name)]
         assert loaded == [], f"a cache-hit run imported {loaded}"
+
+    @pytest.mark.parametrize("semantics", ["coercion", *RUNTIMES])
+    def test_a_cache_hit_loads_only_its_own_semantics(self, tmp_path, semantics, capsys):
+        from repro.cli import main
+
+        program = tmp_path / "square.grad"
+        program.write_text(SQUARE)
+        argv = ["run", "--engine", "rvm", "--semantics", semantics, str(program)]
+        cache = tmp_path / "cache"
+
+        _cli_in_fresh_interpreter(argv, cache)
+        hit_exit, hit_modules, hit_output = _cli_in_fresh_interpreter(argv, cache)
+
+        own = RUNTIMES.get(semantics)
+        assert own is None or _loaded(hit_modules, own)
+        loaded = [name for name in NOT_ON_THE_HIT_PATH
+                  if name != own and _loaded(hit_modules, name)]
+        assert loaded == [], f"a {semantics} cache hit imported {loaded}"
+        # The hit prints what the CEK machine computes under the same semantics.
+        assert main(["run", "--engine", "machine", "--semantics", semantics,
+                     str(program)]) == hit_exit == 0
+        assert capsys.readouterr().out.strip() == hit_output.strip()
 
 
 _POOL_JOBS_AND_LIST_NEW_MODULES = """

@@ -13,13 +13,8 @@ from repro.core.terms import App, Blame, Cast, Coerce, Lam, Op, Pair, Var, const
 from repro.core.types import BOOL, DYN, INT, FunType, ProdType
 from repro.lambda_c.coercions import FunCoercion, Identity, Inject, Project, Sequence
 from repro.lambda_s.coercions import FailS, FunCo, IdBase, Injection, Projection
-from repro.machine.policy import (
-    BLAME_POLICY,
-    COERCION_POLICY,
-    SPACE_POLICY,
-    CastMediator,
-    MachineBlame,
-)
+from repro.machine import BLAME_POLICY, COERCION_POLICY, SPACE_POLICY, CastMediator
+from repro.machine.policy import MachineBlame
 from repro.machine.values import MClosure, MConst, MPair, MProxy, Environment
 from repro.properties.calculi import LAMBDA_B, LAMBDA_C
 from repro.properties.equivalence import Observation, kleene_equivalent, observations_equal

@@ -20,7 +20,7 @@ from copy import deepcopy
 import pytest
 from hypothesis import given
 
-from repro.core.intern import intern_stats, intern_type, is_interned_type
+from repro.core.intern import Interner, _types, intern_stats, intern_type, is_interned_type
 from repro.core.types import (
     BOOL,
     DYN,
@@ -102,6 +102,20 @@ class TestTypeInterning:
         assert is_interned_type(canon.dom)
         assert is_interned_type(canon.dom.left)
         assert canon.cod is DYN
+
+    def test_alias_table_stays_bounded_and_evicted_nodes_reintern(self):
+        # Fresh, structurally equal nodes are remembered as aliases of one
+        # canonical node.  Twice the cap overflows the table; it must stay
+        # within the bound, and a node whose alias was evicted must still
+        # intern to the same canonical node.
+        shapes = [lambda: FunType(INT, BOOL), lambda: ProdType(BOOL, FunType(INT, DYN))]
+        canon = [intern_type(shape()) for shape in shapes]
+        nodes = [shapes[i % len(shapes)]() for i in range(2 * Interner.MAX_ALIASES)]
+        for i, node in enumerate(nodes):
+            assert intern_type(node) is canon[i % len(shapes)]
+            assert len(_types._aliases) <= Interner.MAX_ALIASES
+        for i, node in enumerate(nodes):
+            assert intern_type(node) is canon[i % len(shapes)]
 
     def test_stats_exposed_for_all_tables(self):
         stats = intern_stats()

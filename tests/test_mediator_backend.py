@@ -71,7 +71,7 @@ class TestThreesomeMachineBackend:
         # The machine's policy converts every term coercion on sight, so the
         # run never mixes representations.
         from repro.core.terms import Coerce
-        from repro.machine.policy import THREESOME_POLICY
+        from repro.machine import THREESOME_POLICY
         from repro.translate import b_to_s
 
         term_s = b_to_s(even_odd_boundary(2))

@@ -103,7 +103,7 @@ class TestEventSchema:
     def test_mediator_labels_walks_structures(self):
         from repro.core.labels import Label
         from repro.core.types import DYN, INT
-        from repro.machine.policy import CastMediator
+        from repro.machine import CastMediator
 
         m = CastMediator(INT, DYN, Label("boundary"))
         assert mediator_labels(m) == ("boundary",)

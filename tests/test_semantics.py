@@ -54,14 +54,8 @@ from repro.lambda_s.coercions import (
     Projection,
 )
 from repro.machine import run_on_machine
-from repro.machine.policy import (
-    ACT_GENERAL,
-    ACT_IDENTITY,
-    COERCION_POLICY,
-    MachineBlame,
-    SPACE_POLICY,
-    THREESOME_POLICY,
-)
+from repro.machine import SPACE_POLICY, THREESOME_POLICY
+from repro.machine.policy import ACT_GENERAL, ACT_IDENTITY, MachineBlame
 from repro.machine.values import MConst, MPair
 from repro.properties.bisimulation import check_mediator_oracle
 from repro.semantics import (

@@ -21,7 +21,7 @@ from repro.surface.ast import (
     SVar,
 )
 from repro.surface.lexer import tokenize
-from repro.surface.parser import parse, parse_program, parse_type
+from repro.surface.parser import MAX_NESTING, parse, parse_program, parse_type
 
 
 class TestLexer:
@@ -214,3 +214,110 @@ class TestProgramParsing:
     def test_parse_rejects_programs_with_definitions(self):
         with pytest.raises(ParseError):
             parse("(define x 1) x")
+
+
+# ---------------------------------------------------------------------------
+# The reader's nesting limit
+# ---------------------------------------------------------------------------
+
+
+def _nesting(source: str) -> int:
+    depth = deepest = 0
+    for char in source:
+        if char in "([":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char in ")]":
+            depth -= 1
+    return deepest
+
+
+def _at_depth(core, depth: int) -> str:
+    """The program ``core(n)`` for the largest ``n`` nesting at most
+    ``depth`` levels, wrapped in ``(if #t … 0)`` up to exactly ``depth``."""
+    n = 1
+    while _nesting(core(n + 1)) <= depth:
+        n += 1
+    source = core(n)
+    pad = depth - _nesting(source)
+    return "(if #t " * pad + source + " 0)" * pad
+
+
+#: Nested arithmetic, ``let`` bodies, λ-applications, ``if`` branches and a
+#: nested function type: each drives the recursive passes (elaborate, the
+#: translations, lowering, register allocation, the engines) differently.
+NESTED_SHAPES = {
+    "arith": lambda n: "(+ 1 " * n + "0" + ")" * n,
+    "let": lambda n: "(let ([x 1]) " * n + "x" + ")" * n,
+    "app": lambda n: "((lambda (x) " * n + "x" + ") 1)" * n,
+    "if": lambda n: "(if #t " * n + "2" + " 0)" * n,
+    "type": lambda n: "(fst (pair 1 (: (lambda (x) x) " + "(-> int " * n + "int" + ")" * n + ")))",
+}
+
+#: Every engine, with every semantics it implements.
+ENGINE_MATRIX = (
+    [("subst", calculus, "coercion") for calculus in "BCS"]
+    + [("machine", calculus, "coercion") for calculus in "BC"]
+    + [(engine, "S", semantics)
+       for engine in ("machine", "vm", "rvm")
+       for semantics in ("coercion", "threesome", "transient", "erasure")]
+)
+
+
+class TestNestingLimit:
+    def test_the_limit_is_accepted_and_one_more_level_is_a_parse_error(self):
+        source = "(+ 1 " * MAX_NESTING + "0" + ")" * MAX_NESTING
+        assert _nesting(source) == MAX_NESTING
+        parse(source)
+        deeper = "(" + source + ")"
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels") as err:
+            parse(deeper)
+        # Reported at the first delimiter past the limit: the innermost one.
+        assert (err.value.line, err.value.column) == (1, 2 + 5 * (MAX_NESTING - 1))
+
+    def test_brackets_count_toward_the_limit(self):
+        source = "(let ([x 1]) " * MAX_NESTING + "x" + ")" * MAX_NESTING
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse(source)
+
+    @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+    def test_every_engine_and_semantics_runs_a_program_at_the_limit(self, shape):
+        from repro.api import run
+
+        source = _at_depth(NESTED_SHAPES[shape], MAX_NESTING)
+        assert _nesting(source) == MAX_NESTING
+        outcomes = {}
+        for engine, calculus, semantics in ENGINE_MATRIX:
+            result = run(source, engine=engine, calculus=calculus, semantics=semantics,
+                         cache=False)
+            outcomes[engine, calculus, semantics] = (result.kind, result.value)
+        assert set(outcomes.values()) == {outcomes["machine", "S", "coercion"]}
+        assert outcomes["machine", "S", "coercion"][0] == "value"
+
+    def test_one_level_past_the_limit_exits_2_in_the_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "deep.grad"
+        path.write_text("(+ 1 " * (MAX_NESTING + 1) + "0" + ")" * (MAX_NESTING + 1) + "\n")
+        for engine in ("machine", "rvm"):
+            assert main(["run", "--engine", engine, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"parse error: nesting deeper than {MAX_NESTING} levels "
+                           f"at line 1, column {1 + 5 * MAX_NESTING}\n")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_level_past_the_limit_is_one_batch_error_record(self, tmp_path, workers):
+        from repro.batch import run_batch
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a_deep.grad").write_text(
+            "(+ 1 " * (MAX_NESTING + 1) + "0" + ")" * (MAX_NESTING + 1) + "\n")
+        (corpus / "b_square.grad").write_text("(* 6 6)\n")
+        results, aggregate = run_batch([corpus], workers=workers,
+                                       cache_dir=str(tmp_path / "cache"))
+        by_name = {r["program"].rsplit("/", 1)[-1]: r for r in results}
+        assert by_name["a_deep.grad"]["kind"] == "error"
+        assert f"nesting deeper than {MAX_NESTING} levels" in by_name["a_deep.grad"]["error"]
+        assert by_name["b_square.grad"]["value"] == 36
+        assert aggregate["outcomes"]["error"] == 1
