@@ -11,7 +11,9 @@ arbitrarily slower or faster than the machine that recorded the baseline,
 but the ratio between two runs of the same VMs on the same box is stable.
 If either current ratio slips more than ``SLIP_TOLERANCE`` (25%) below the
 committed one — someone pessimised the optimizer, the VM's fast paths, or
-the register dispatch core — exit non-zero and fail the build.
+the register dispatch core — exit non-zero and fail the build.  Further
+gates check the trace hooks' cost, the erasure ceiling and the front end
+(see each ``*_gate`` function).
 
 Usage::
 
@@ -21,6 +23,7 @@ Usage::
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -36,19 +39,33 @@ from repro.compiler import compile_registers, compile_term, run_code, run_rcode 
 SLIP_TOLERANCE = 0.25
 REPEAT = 5
 
+#: The one-pass ``|·|BS`` must beat the two-pass ``|·|CS ∘ |·|BC`` by this
+#: much on the shipped corpus (same machine, same terms).
+TRANSLATE_SPEEDUP_FLOOR = 1.5
+
+#: Parse time per 1000 tokens divided by :func:`_calibration_loop`'s time,
+#: as measured when the one-regex scanner landed (Python 3.11, 2 vCPU
+#: x86-64), and the ceiling the gate allows: 1.25x that.
+PARSE_PER_TOKEN_BASELINE = 1.02
+PARSE_PER_TOKEN_CEILING = 1.25 * PARSE_PER_TOKEN_BASELINE
+
 #: The observability hooks' budget: with no tracer active, the vm/rvm hot
 #: loops may not be more than 2% slower than the committed baseline.
 TRACE_OVERHEAD_TOLERANCE = 0.02
 
 
-def _best(code, runner=run_code, repeat: int = REPEAT) -> float:
-    runner(code)  # warmup
+def _best_of(fn, repeat: int = REPEAT) -> float:
+    fn()  # warmup
     timings = []
     for _ in range(repeat):
         start = time.perf_counter()
-        runner(code)
+        fn()
         timings.append(time.perf_counter() - start)
     return min(timings)
+
+
+def _best(code, runner=run_code, repeat: int = REPEAT) -> float:
+    return _best_of(lambda: runner(code), repeat)
 
 
 def main() -> int:
@@ -109,6 +126,7 @@ def main() -> int:
             status = 1
     status |= trace_overhead_gate(by_name, fastest)
     status |= erasure_ceiling_gate()
+    status |= front_end_gate()
     return status
 
 
@@ -152,12 +170,14 @@ def trace_overhead_gate(by_name: dict, fastest: list[str]) -> int:
     Every mediator lifecycle site in the vm/rvm dispatch loops now carries
     an ``if tracer is not None`` hook; with no tracer active that test must
     cost ~nothing.  Wall clock is not comparable across machines, so the
-    current run times are normalized by a *compile-time calibration ratio*:
-    compilation has no hooks at all, so ``compile_now / compile_committed``
+    current run times are normalized by a *register-allocation calibration
+    ratio*: ``regalloc`` has no hooks at all, so ``regalloc_now /
+    regalloc_committed`` (the committed ``compile/registers/*`` entries)
     measures only how this box compares to the one that recorded the
-    baseline.  The calibrated slowdown
+    baseline.  (Whole compilation is no such yardstick: a faster front end
+    would read as a slower machine.)  The calibrated slowdown
 
-        (run_now / run_committed) / (compile_now / compile_committed)
+        (run_now / run_committed) / (regalloc_now / regalloc_committed)
 
     is geomeaned over {vm -O2, rvm -O2} × the two fastest workloads and
     gated at ``TRACE_OVERHEAD_TOLERANCE``.  An enabled-tracing run (ring
@@ -165,24 +185,19 @@ def trace_overhead_gate(by_name: dict, fastest: list[str]) -> int:
     """
     from repro.obs import RingBufferSink, tracing
 
-    calib_names = [n for n in VM_WORKLOADS if f"compile/{n}" in by_name]
+    calib_names = [n for n in VM_WORKLOADS if f"compile/registers/{n}" in by_name]
     if not calib_names:
-        print("perf-smoke: no compile/* baseline entries; skipping trace gate")
+        print("perf-smoke: no compile/registers/* baseline entries; skipping trace gate")
         return 0
+    codes = [compile_term(VM_WORKLOADS[name][0], opt_level=2) for name in calib_names]
 
-    def compile_all() -> None:
-        for name in calib_names:
-            compile_term(VM_WORKLOADS[name][0], opt_level=2)
+    def regalloc_all() -> None:
+        for code in codes:
+            compile_registers(code)
 
-    compile_all()  # warmup
-    timings = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        compile_all()
-        timings.append(time.perf_counter() - start)
-    compile_now = min(timings)
-    compile_committed = sum(by_name[f"compile/{n}"]["best_s"] for n in calib_names)
-    calibration = compile_now / compile_committed
+    regalloc_now = _best_of(regalloc_all)
+    regalloc_committed = sum(by_name[f"compile/registers/{n}"]["best_s"] for n in calib_names)
+    calibration = regalloc_now / regalloc_committed
 
     slowdowns = []
     for name in fastest:
@@ -217,6 +232,83 @@ def trace_overhead_gate(by_name: dict, fastest: list[str]) -> int:
     print(f"perf-smoke: enabled-tracing (ring buffer) overhead on {name}: "
           f"{traced / untraced:.2f}x (informational)")
     return 0 if slowdown <= ceiling else 1
+
+
+def _calibration_loop() -> int:
+    """Fixed pure-Python work that calls nothing in the program: string
+    splitting and comparison, tuple and list building, dict lookups and a
+    keyed sort, the interpreter paths the front end runs."""
+    words = "(define (f [x : int]) : int (+ x 1)) ; a comment".split()
+    table = {word: index for index, word in enumerate(words)}
+    rows = []
+    total = 0
+    for i in range(4000):
+        word = words[i % len(words)]
+        total += table.get(word, 0) + len(word)
+        rows.append((word, i, total & 255))
+    rows.sort(key=lambda row: row[2])
+    return total + len(rows)
+
+
+def front_end_gate() -> int:
+    """Gate: the compile front end keeps its one-pass and scanner wins.
+
+    On the shipped corpus (``examples/programs``):
+
+    * the one-pass ``|·|BS`` (:func:`repro.translate.b_to_s`, what the
+      compiler runs) must be at least ``TRANSLATE_SPEEDUP_FLOOR`` times as
+      fast as the two-pass ``c_to_s(b_to_c(M))`` it is tested against;
+    * ``parse_program``'s time per 1000 tokens, divided by the time of the
+      fixed :func:`_calibration_loop`, must stay under
+      ``PARSE_PER_TOKEN_CEILING``.  Both are pure Python on one machine,
+      so the ratio carries across machines much better than seconds do.
+    """
+    from repro.surface.interp import compile_source
+    from repro.surface.lexer import scan
+    from repro.surface.parser import parse_program
+    from repro.translate import b_to_c, b_to_s, c_to_s
+
+    corpus = sorted((REPO / "examples" / "programs").glob("*.grad"))
+    sources = [path.read_text() for path in corpus]
+    terms = [compile_source(source)[0] for source in sources]
+    rounds = 20
+
+    def one_pass() -> None:
+        for _ in range(rounds):
+            for term in terms:
+                b_to_s(term)
+
+    def two_pass() -> None:
+        for _ in range(rounds):
+            for term in terms:
+                c_to_s(b_to_c(term))
+
+    def parse_all() -> None:
+        for _ in range(rounds):
+            for source in sources:
+                parse_program(source)
+
+    speedup = _best_of(two_pass) / _best_of(one_pass)
+    verdict = "ok" if speedup >= TRANSLATE_SPEEDUP_FLOOR else "REGRESSION"
+    print(f"perf-smoke: one-pass |.|BS over c_to_s(b_to_c) {speedup:.2f}x "
+          f"(floor {TRANSLATE_SPEEDUP_FLOOR:.2f}x): {verdict}")
+    status = 0 if speedup >= TRANSLATE_SPEEDUP_FLOOR else 1
+
+    # The host's speed drifts, so parse and calibration alternate and the
+    # gate takes the median of the paired ratios.
+    tokens = rounds * sum(len(scan(source)) for source in sources)
+    ratios = []
+    for _ in range(3 * REPEAT):
+        per_token = _best_of(parse_all, repeat=1) / tokens
+        ratios.append(1000 * per_token / _best_of(_calibration_loop, repeat=1))
+    ratio = statistics.median(ratios)
+    verdict = "ok" if ratio <= PARSE_PER_TOKEN_CEILING else "REGRESSION"
+    print(f"perf-smoke: parse time per 1000 tokens {ratio:.3f} calibration loops "
+          f"(baseline {PARSE_PER_TOKEN_BASELINE:.3f}, ceiling {PARSE_PER_TOKEN_CEILING:.3f}): "
+          f"{verdict}")
+    if ratio > PARSE_PER_TOKEN_CEILING:
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

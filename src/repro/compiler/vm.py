@@ -650,7 +650,7 @@ THE_VM = VM()
 
 
 def translate_term(term_b: Term, metrics=None) -> Term:
-    """Translate an elaborated λB term to λS: ``|·|BC`` then ``|·|CS``.
+    """Translate an elaborated λB term to λS: ``|·|BS``, in one pass.
 
     This half of compilation does not depend on the enforcement semantics,
     the ``-O`` level or the IR, so a caller compiling one program under
@@ -659,10 +659,10 @@ def translate_term(term_b: Term, metrics=None) -> Term:
     ``translate`` phase timer.
     """
     from ..obs.metrics import phase
-    from ..translate import b_to_c, c_to_s
+    from ..translate import b_to_s
 
     with phase(metrics, "translate"):
-        return c_to_s(b_to_c(term_b))
+        return b_to_s(term_b)
 
 
 def compile_term_s(

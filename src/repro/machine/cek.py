@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.errors import EvaluationError, FuelExhausted
+from ..core.errors import EvaluationError
 from ..core.intern import intern_type
 from ..core.labels import Label
 from ..core.ops import op_spec

@@ -1,9 +1,16 @@
-"""Tokenizer for the s-expression concrete syntax of the surface language."""
+"""Tokenizer for the s-expression concrete syntax of the surface language.
+
+One compiled regular expression splits the source.  :func:`scan` yields
+plain ``(kind, text, line, column)`` tuples, which is all the parser
+reads; :func:`tokenize` wraps them as :class:`Token` objects.  Lines and
+columns are 1-based and counted in characters, so a token's column is its
+offset minus its line's start offset plus one (a tab is one column).
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..core.errors import ParseError
 from .ast import SourceLocation
@@ -18,99 +25,75 @@ class Token:
     location: SourceLocation
 
 
-_DELIMITERS = {"(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket"}
+# At every offset exactly one alternative applies, so ``findall`` never
+# skips input; ``\Z`` ends the scan after trailing blanks.  Groups: the
+# blanks before a token, a newline, a delimiter or an atom, a closed string
+# with its quotes, and an opening quote with no closing one on its line (a
+# newline inside a string must be escaped).  A comment matches no group.
+_TOKEN = re.compile(
+    r'([ \t\r]*+)(?:(\n)|;[^\n]*|([()\[\]]|[^ \t\r\n()\[\];"]+)'
+    r'|("(?:[^"\\\n]|\\[\s\S])*+")|(")|\Z)'
+)
+
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+#: Token kinds that a token's text alone decides; any other atom is an
+#: ``int`` or a ``symbol``.
+_KINDS = {
+    "(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket",
+    "#t": "bool", "#f": "bool", "true": "bool", "false": "bool",
+}
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split a program into tokens, tracking line/column for blame labels."""
-    tokens: list[Token] = []
-    line, column = 1, 1
-    index = 0
-    length = len(source)
+def _unescape(match: re.Match) -> str:
+    char = match.group(1)
+    return _ESCAPES.get(char, char)
 
-    def location() -> SourceLocation:
-        return SourceLocation(line, column)
 
-    while index < length:
-        char = source[index]
+def scan(source: str) -> list[tuple[str, str, int, int]]:
+    """Split a program into ``(kind, text, line, column)`` tuples.
 
-        if char == "\n":
+    A string's text has its escapes resolved (``\\n``, ``\\t``; any other
+    escaped character stands for itself, a backslash-newline for a
+    newline) and its location is that of its opening quote.
+    """
+    tokens: list[tuple[str, str, int, int]] = []
+    append = tokens.append
+    kinds = _KINDS
+    line = column = 1
+    for blanks, newline, text, quoted, unclosed in _TOKEN.findall(source):
+        column += len(blanks)
+        if text:
+            kind = kinds.get(text)
+            if kind is None:
+                if text.isdigit() or (text[0] in "+-" and text[1:].isdigit()):
+                    kind = "int"
+                else:
+                    kind = "symbol"
+            append((kind, text, line, column))
+            column += len(text)
+        elif newline:
             line += 1
             column = 1
-            index += 1
-            continue
-        if char in " \t\r":
-            column += 1
-            index += 1
-            continue
-        if char == ";":
-            while index < length and source[index] != "\n":
-                index += 1
-            continue
-        if char in _DELIMITERS:
-            tokens.append(Token(_DELIMITERS[char], char, location()))
-            column += 1
-            index += 1
-            continue
-        if char == '"':
-            start = location()
-            index += 1
-            column += 1
-            chars: list[str] = []
-            while index < length and source[index] != '"':
-                if source[index] == "\n":
-                    raise ParseError("unterminated string literal", start.line, start.column)
-                if source[index] == "\\" and index + 1 < length:
-                    escape = source[index + 1]
-                    chars.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(escape, escape))
-                    index += 2
-                    if escape == "\n":
-                        # A backslash-continued physical newline: the next
-                        # character is on a new source line, so the location
-                        # must advance with it or every later token (and
-                        # blame label) would point at the wrong line.
-                        line += 1
-                        column = 1
-                    else:
-                        column += 2
-                    continue
-                chars.append(source[index])
-                index += 1
-                column += 1
-            if index >= length:
-                raise ParseError("unterminated string literal", start.line, start.column)
-            index += 1
-            column += 1
-            tokens.append(Token("string", "".join(chars), start))
-            continue
-
-        # Symbols, numbers, booleans.
-        start = location()
-        begin = index
-        while index < length and source[index] not in ' \t\r\n()[];"':
-            index += 1
-            column += 1
-        text = source[begin:index]
-        if not text:
-            raise ParseError(f"unexpected character {char!r}", start.line, start.column)
-        kind = _classify(text)
-        tokens.append(Token(kind, text, start))
-
+        elif quoted:
+            if "\\" not in quoted:
+                append(("string", quoted[1:-1], line, column))
+                column += len(quoted)
+                continue
+            append(("string", _ESCAPE.sub(_unescape, quoted[1:-1]), line, column))
+            if "\n" in quoted:  # backslash-newlines
+                line += quoted.count("\n")
+                column = len(quoted) - quoted.rindex("\n")
+            else:
+                column += len(quoted)
+        elif unclosed:
+            raise ParseError("unterminated string literal", line, column)
+        # A comment, or the end of the source: column stops mattering there.
     return tokens
 
 
-def _classify(text: str) -> str:
-    if text in ("#t", "#f", "true", "false"):
-        return "bool"
-    if _is_integer(text):
-        return "int"
-    return "symbol"
-
-
-def _is_integer(text: str) -> bool:
-    body = text[1:] if text and text[0] in "+-" else text
-    return bool(body) and body.isdigit()
-
-
-def iter_tokens(source: str) -> Iterator[Token]:
-    yield from tokenize(source)
+def tokenize(source: str) -> list[Token]:
+    """Split a program into :class:`Token` objects (see :func:`scan`)."""
+    return [Token(kind, text, SourceLocation(line, column))
+            for kind, text, line, column in scan(source)]

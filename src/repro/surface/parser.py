@@ -23,10 +23,13 @@ source location of the expression that required it.
 
 Parentheses and brackets nest at most :data:`MAX_NESTING` levels deep; the
 reader rejects a deeper program with a :class:`ParseError` at the first
-delimiter past the limit.  Elaboration, the translations, lowering and the
-engines all recurse over the program's structure, so the limit keeps every
-accepted program within the interpreter's recursion limit on every engine
-and semantics (exit 2, not an internal error).
+delimiter past the limit.  Each top-level ``define`` counts as one more
+level for every form after it, because elaboration nests the rest of the
+program inside its ``let``: 201 flat definitions are rejected at the 201st.
+Elaboration, the translations, lowering and the engines all recurse over
+the program's structure, so the limit keeps every accepted program within
+the interpreter's recursion limit on every engine and semantics (exit 2,
+not an internal error).
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .ast import (
     SurfaceExpr,
     SVar,
 )
-from .lexer import Token, tokenize
+from .lexer import scan
 
 _KEYWORDS = {
     "lambda",
@@ -84,7 +87,9 @@ _TYPE_NAMES = {
 #: How deeply parentheses and brackets may nest.  Every later pass recurses
 #: over the program, several Python frames per level: 200 leaves headroom
 #: under the default recursion limit of 1000 for the most frame-hungry
-#: shapes (nested function types overflowed at about 250 levels).
+#: shapes (nested function types overflowed at about 250 levels).  A
+#: top-level ``define`` counts as one level for every form after it, since
+#: elaboration wraps the rest of the program in its ``let``.
 MAX_NESTING = 200
 
 
@@ -92,57 +97,49 @@ MAX_NESTING = 200
 # S-expression reader
 # ---------------------------------------------------------------------------
 
+#: The kind of a list node.  An s-expression is a 4-tuple ``(kind, value,
+#: line, column)``: an atom is its token (``value`` is the token text), a
+#: list is ``(_LIST, items, line, column)`` at its opening delimiter.
+_LIST = "list"
 
-class _SExpr:
-    """Either an atom (a token) or a list of s-expressions with a location."""
-
-    __slots__ = ("items", "token", "location")
-
-    def __init__(self, items=None, token: Token | None = None, location: SourceLocation | None = None):
-        self.items = items
-        self.token = token
-        self.location = location if location is not None else (token.location if token else None)
-
-    @property
-    def is_atom(self) -> bool:
-        return self.token is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_atom:
-            return f"Atom({self.token.text})"
-        return f"List({self.items})"
+_CLOSING = {"lparen": "rparen", "lbracket": "rbracket"}
 
 
-def _read_all(tokens: list[Token]) -> list[_SExpr]:
-    position = 0
-
-    def read(depth: int) -> _SExpr:
-        nonlocal position
-        if position >= len(tokens):
-            raise ParseError("unexpected end of input")
-        token = tokens[position]
-        if token.kind in ("lparen", "lbracket"):
-            if depth >= MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                                 token.location.line, token.location.column)
-            closing = "rparen" if token.kind == "lparen" else "rbracket"
-            position += 1
-            items: list[_SExpr] = []
-            while position < len(tokens) and tokens[position].kind != closing:
-                items.append(read(depth + 1))
-            if position >= len(tokens):
-                raise ParseError("missing closing parenthesis", token.location.line, token.location.column)
-            position += 1  # consume the closing delimiter
-            return _SExpr(items=items, location=token.location)
-        if token.kind in ("rparen", "rbracket"):
-            raise ParseError("unexpected closing parenthesis", token.location.line, token.location.column)
-        position += 1
-        return _SExpr(token=token)
-
-    forms: list[_SExpr] = []
-    while position < len(tokens):
-        forms.append(read(0))
+def _read_all(tokens: list[tuple[str, str, int, int]]) -> list[tuple]:
+    """Group the scanner's tokens into s-expressions, with an explicit stack."""
+    forms: list[tuple] = []
+    items = forms
+    # One entry per open list: (enclosing items, closing kind, opening token).
+    stack: list[tuple[list, str, tuple]] = []
+    defines = 0  # top-level defines read so far: each is a level of nesting
+    for token in tokens:
+        kind = token[0]
+        closing = _CLOSING.get(kind)
+        if closing is not None:
+            if len(stack) + defines >= MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", token[2], token[3])
+            stack.append((items, closing, token))
+            items = []
+        elif kind == "rparen" or kind == "rbracket":
+            if not stack or stack[-1][1] != kind:
+                raise ParseError("unexpected closing parenthesis", token[2], token[3])
+            outer, _, opening = stack.pop()
+            node = (_LIST, items, opening[2], opening[3])
+            outer.append(node)
+            if not stack and _is_define(node):
+                defines += 1
+            items = outer
+        else:
+            items.append(token)
+    if stack:
+        opening = stack[-1][2]
+        raise ParseError("missing closing parenthesis", opening[2], opening[3])
     return forms
+
+
+def _is_atom(sexpr: tuple, text: str) -> bool:
+    """Whether ``sexpr`` is an atom (of any kind) spelled ``text``."""
+    return sexpr[0] != _LIST and sexpr[1] == text
 
 
 # ---------------------------------------------------------------------------
@@ -150,34 +147,34 @@ def _read_all(tokens: list[Token]) -> list[_SExpr]:
 # ---------------------------------------------------------------------------
 
 
-def parse_type_sexpr(sexpr: _SExpr) -> Type:
-    if sexpr.is_atom:
-        name = sexpr.token.text
-        if name in _TYPE_NAMES:
-            return _TYPE_NAMES[name]
-        raise ParseError(f"unknown type {name!r}", sexpr.location.line, sexpr.location.column)
-    if not sexpr.items:
-        raise ParseError("empty type", sexpr.location.line, sexpr.location.column)
-    head = sexpr.items[0]
-    if head.is_atom and head.token.text == "->":
-        parts = [parse_type_sexpr(item) for item in sexpr.items[1:]]
+def parse_type_sexpr(sexpr: tuple) -> Type:
+    kind, value, line, column = sexpr
+    if kind != _LIST:
+        if value in _TYPE_NAMES:
+            return _TYPE_NAMES[value]
+        raise ParseError(f"unknown type {value!r}", line, column)
+    if not value:
+        raise ParseError("empty type", line, column)
+    head = value[0]
+    if _is_atom(head, "->"):
+        parts = [parse_type_sexpr(item) for item in value[1:]]
         if len(parts) < 2:
-            raise ParseError("-> needs at least two types", sexpr.location.line, sexpr.location.column)
+            raise ParseError("-> needs at least two types", line, column)
         result = parts[-1]
         for dom in reversed(parts[:-1]):
             result = FunType(dom, result)
         return result
-    if head.is_atom and head.token.text == "*":
-        parts = [parse_type_sexpr(item) for item in sexpr.items[1:]]
+    if _is_atom(head, "*"):
+        parts = [parse_type_sexpr(item) for item in value[1:]]
         if len(parts) != 2:
-            raise ParseError("* needs exactly two types", sexpr.location.line, sexpr.location.column)
+            raise ParseError("* needs exactly two types", line, column)
         return ProdType(parts[0], parts[1])
-    raise ParseError("malformed type", sexpr.location.line, sexpr.location.column)
+    raise ParseError("malformed type", line, column)
 
 
 def parse_type(source: str) -> Type:
     """Parse a type written in concrete syntax, e.g. ``"(-> int ?)"``."""
-    forms = _read_all(tokenize(source))
+    forms = _read_all(scan(source))
     if len(forms) != 1:
         raise ParseError("expected exactly one type")
     return parse_type_sexpr(forms[0])
@@ -188,94 +185,94 @@ def parse_type(source: str) -> Type:
 # ---------------------------------------------------------------------------
 
 
-def _parse_param(sexpr: _SExpr) -> tuple[str, Type]:
-    if sexpr.is_atom:
-        return sexpr.token.text, DYN
-    items = sexpr.items
-    if len(items) == 3 and items[1].is_atom and items[1].token.text == ":":
-        if not items[0].is_atom:
-            raise ParseError("parameter name must be a symbol", sexpr.location.line, sexpr.location.column)
-        return items[0].token.text, parse_type_sexpr(items[2])
-    raise ParseError("malformed parameter (expected name or [name : type])",
-                     sexpr.location.line, sexpr.location.column)
+def _parse_param(sexpr: tuple) -> tuple[str, Type]:
+    kind, value, line, column = sexpr
+    if kind != _LIST:
+        return value, DYN
+    if len(value) == 3 and _is_atom(value[1], ":"):
+        if value[0][0] == _LIST:
+            raise ParseError("parameter name must be a symbol", line, column)
+        return value[0][1], parse_type_sexpr(value[2])
+    raise ParseError("malformed parameter (expected name or [name : type])", line, column)
 
 
-def parse_expr_sexpr(sexpr: _SExpr) -> SurfaceExpr:
-    location = sexpr.location or SourceLocation(0, 0)
+def parse_expr_sexpr(sexpr: tuple) -> SurfaceExpr:
+    kind, value, line, column = sexpr
+    location = SourceLocation(line, column)
 
-    if sexpr.is_atom:
-        token = sexpr.token
-        if token.kind == "int":
-            return SConst(int(token.text), location)
-        if token.kind == "bool":
-            return SConst(token.text in ("#t", "true"), location)
-        if token.kind == "string":
-            return SConst(token.text, location)
-        if token.text == "unit":
+    if kind != _LIST:
+        if kind == "int":
+            return SConst(int(value), location)
+        if kind == "bool":
+            return SConst(value in ("#t", "true"), location)
+        if kind == "string":
+            return SConst(value, location)
+        if value == "unit":
             return SConst(None, location)
-        return SVar(token.text, location)
+        return SVar(value, location)
 
-    if not sexpr.items:
-        raise ParseError("empty expression", location.line, location.column)
+    if not value:
+        raise ParseError("empty expression", line, column)
 
-    head = sexpr.items[0]
-    rest = sexpr.items[1:]
-    head_name = head.token.text if head.is_atom else None
+    head = value[0]
+    rest = value[1:]
+    head_name = head[1] if head[0] != _LIST else None
 
     if head_name == "lambda":
-        if len(rest) != 2 or rest[0].is_atom:
-            raise ParseError("lambda expects a parameter list and a body", location.line, location.column)
-        params = tuple(_parse_param(p) for p in rest[0].items)
+        if len(rest) != 2 or rest[0][0] != _LIST:
+            raise ParseError("lambda expects a parameter list and a body", line, column)
+        params = tuple(_parse_param(p) for p in rest[0][1])
         if not params:
-            raise ParseError("lambda needs at least one parameter", location.line, location.column)
+            raise ParseError("lambda needs at least one parameter", line, column)
         return SLam(params, parse_expr_sexpr(rest[1]), location)
 
     if head_name == "let":
-        if len(rest) != 2 or rest[0].is_atom:
-            raise ParseError("let expects a binding list and a body", location.line, location.column)
+        if len(rest) != 2 or rest[0][0] != _LIST:
+            raise ParseError("let expects a binding list and a body", line, column)
         bindings = []
-        for binding in rest[0].items:
-            if binding.is_atom or len(binding.items) != 2 or not binding.items[0].is_atom:
-                raise ParseError("malformed let binding", location.line, location.column)
-            bindings.append((binding.items[0].token.text, parse_expr_sexpr(binding.items[1])))
+        for binding in rest[0][1]:
+            pair = binding[1]
+            if binding[0] != _LIST or len(pair) != 2 or pair[0][0] == _LIST:
+                raise ParseError("malformed let binding", line, column)
+            bindings.append((pair[0][1], parse_expr_sexpr(pair[1])))
         return SLet(tuple(bindings), parse_expr_sexpr(rest[1]), location)
 
     if head_name == "letrec":
-        if len(rest) != 2 or rest[0].is_atom or len(rest[0].items) != 1:
-            raise ParseError("letrec expects exactly one binding and a body", location.line, location.column)
-        binding = rest[0].items[0]
-        if binding.is_atom or len(binding.items) != 4 or not binding.items[0].is_atom:
-            raise ParseError("letrec binding must be [name : type expr]", location.line, location.column)
-        if not (binding.items[1].is_atom and binding.items[1].token.text == ":"):
-            raise ParseError("letrec binding must be [name : type expr]", location.line, location.column)
-        name = binding.items[0].token.text
-        annotation = parse_type_sexpr(binding.items[2])
-        bound = parse_expr_sexpr(binding.items[3])
-        return SLetRec(name, annotation, bound, parse_expr_sexpr(rest[1]), location)
+        if len(rest) != 2 or rest[0][0] != _LIST or len(rest[0][1]) != 1:
+            raise ParseError("letrec expects exactly one binding and a body", line, column)
+        binding = rest[0][1][0]
+        parts = binding[1]
+        if binding[0] != _LIST or len(parts) != 4 or parts[0][0] == _LIST:
+            raise ParseError("letrec binding must be [name : type expr]", line, column)
+        if not _is_atom(parts[1], ":"):
+            raise ParseError("letrec binding must be [name : type expr]", line, column)
+        annotation = parse_type_sexpr(parts[2])
+        bound = parse_expr_sexpr(parts[3])
+        return SLetRec(parts[0][1], annotation, bound, parse_expr_sexpr(rest[1]), location)
 
     if head_name == "if":
         if len(rest) != 3:
-            raise ParseError("if expects three subexpressions", location.line, location.column)
+            raise ParseError("if expects three subexpressions", line, column)
         return SIf(*(parse_expr_sexpr(r) for r in rest), location)
 
     if head_name in ("pair", "cons"):
         if len(rest) != 2:
-            raise ParseError("pair expects two subexpressions", location.line, location.column)
+            raise ParseError("pair expects two subexpressions", line, column)
         return SPair(parse_expr_sexpr(rest[0]), parse_expr_sexpr(rest[1]), location)
 
     if head_name == "fst":
         if len(rest) != 1:
-            raise ParseError("fst expects one subexpression", location.line, location.column)
+            raise ParseError("fst expects one subexpression", line, column)
         return SFst(parse_expr_sexpr(rest[0]), location)
 
     if head_name == "snd":
         if len(rest) != 1:
-            raise ParseError("snd expects one subexpression", location.line, location.column)
+            raise ParseError("snd expects one subexpression", line, column)
         return SSnd(parse_expr_sexpr(rest[0]), location)
 
     if head_name in (":", "ann"):
         if len(rest) != 2:
-            raise ParseError("ascription expects an expression and a type", location.line, location.column)
+            raise ParseError("ascription expects an expression and a type", line, column)
         return SAscribe(parse_expr_sexpr(rest[0]), parse_type_sexpr(rest[1]), location)
 
     if head_name is not None and op_exists(head_name) and head_name not in _KEYWORDS:
@@ -283,7 +280,7 @@ def parse_expr_sexpr(sexpr: _SExpr) -> SurfaceExpr:
 
     # Application.
     if not rest:
-        raise ParseError("application needs at least one argument", location.line, location.column)
+        raise ParseError("application needs at least one argument", line, column)
     return SApp(parse_expr_sexpr(head), tuple(parse_expr_sexpr(r) for r in rest), location)
 
 
@@ -292,28 +289,29 @@ def parse_expr_sexpr(sexpr: _SExpr) -> SurfaceExpr:
 # ---------------------------------------------------------------------------
 
 
-def _parse_define(sexpr: _SExpr) -> Definition:
-    location = sexpr.location
-    items = sexpr.items[1:]
+def _parse_define(sexpr: tuple) -> Definition:
+    _, value, line, column = sexpr
+    location = SourceLocation(line, column)
+    items = value[1:]
     if not items:
-        raise ParseError("empty define", location.line, location.column)
+        raise ParseError("empty define", line, column)
 
     # (define (name param*) [: type] body)  — function shorthand.
-    if not items[0].is_atom:
-        header = items[0].items
-        if not header or not header[0].is_atom:
-            raise ParseError("malformed define header", location.line, location.column)
-        name = header[0].token.text
+    if items[0][0] == _LIST:
+        header = items[0][1]
+        if not header or header[0][0] == _LIST:
+            raise ParseError("malformed define header", line, column)
+        name = header[0][1]
         params = tuple(_parse_param(p) for p in header[1:])
         rest = items[1:]
         return_type: Type = DYN
-        if len(rest) == 3 and rest[0].is_atom and rest[0].token.text == ":":
+        if len(rest) == 3 and _is_atom(rest[0], ":"):
             return_type = parse_type_sexpr(rest[1])
             body = parse_expr_sexpr(rest[2])
         elif len(rest) == 1:
             body = parse_expr_sexpr(rest[0])
         else:
-            raise ParseError("malformed define", location.line, location.column)
+            raise ParseError("malformed define", line, column)
         if params:
             fun_type: Type = return_type
             for _, param_type in reversed(params):
@@ -322,30 +320,28 @@ def _parse_define(sexpr: _SExpr) -> Definition:
         return Definition(name, return_type, body, location)
 
     # (define name [: type] body)
-    name = items[0].token.text
+    name = items[0][1]
     rest = items[1:]
-    if len(rest) == 3 and rest[0].is_atom and rest[0].token.text == ":":
+    if len(rest) == 3 and _is_atom(rest[0], ":"):
         return Definition(name, parse_type_sexpr(rest[1]), parse_expr_sexpr(rest[2]), location)
     if len(rest) == 1:
         return Definition(name, None, parse_expr_sexpr(rest[0]), location)
-    raise ParseError("malformed define", location.line, location.column)
+    raise ParseError("malformed define", line, column)
+
+
+def _is_define(form: tuple) -> bool:
+    return form[0] == _LIST and bool(form[1]) and _is_atom(form[1][0], "define")
 
 
 def parse_program(source: str) -> Program:
     """Parse a whole program: zero or more ``define`` forms and a main expression."""
-    forms = _read_all(tokenize(source))
+    forms = _read_all(scan(source))
     if not forms:
         raise ParseError("empty program")
     definitions: list[Definition] = []
     main: SurfaceExpr | None = None
-    for index, form in enumerate(forms):
-        is_define = (
-            not form.is_atom
-            and form.items
-            and form.items[0].is_atom
-            and form.items[0].token.text == "define"
-        )
-        if is_define:
+    for form in forms:
+        if _is_define(form):
             if main is not None:
                 raise ParseError("definitions must precede the main expression")
             definitions.append(_parse_define(form))

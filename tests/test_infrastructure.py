@@ -10,12 +10,12 @@ from repro.core.errors import EvaluationError, TypeCheckError
 from repro.core.labels import label
 from repro.core.pretty import summary, term_to_str
 from repro.core.terms import App, Blame, Cast, Coerce, Lam, Op, Pair, Var, const_bool, const_int
-from repro.core.types import BOOL, DYN, INT, FunType, ProdType
-from repro.lambda_c.coercions import FunCoercion, Identity, Inject, Project, Sequence
+from repro.core.types import BOOL, DYN, INT, FunType
+from repro.lambda_c.coercions import FunCoercion, Inject, Project, Sequence
 from repro.lambda_s.coercions import FailS, FunCo, IdBase, Injection, Projection
 from repro.machine import BLAME_POLICY, COERCION_POLICY, SPACE_POLICY, CastMediator
 from repro.machine.policy import MachineBlame
-from repro.machine.values import MClosure, MConst, MPair, MProxy, Environment
+from repro.machine.values import MClosure, MConst, MProxy, Environment
 from repro.properties.calculi import LAMBDA_B, LAMBDA_C
 from repro.properties.equivalence import Observation, kleene_equivalent, observations_equal
 

@@ -35,8 +35,7 @@ from repro.gen.programs import (
 from repro.machine import MACHINE_S_THREESOME, run_on_machine
 from repro.properties.bisimulation import check_mediator_oracle
 from repro.surface.interp import compile_source, run_term
-from repro.threesomes import Threesome, threesome_of_coercion
-from repro.threesomes.labeled_types import LBase
+from repro.threesomes import Threesome
 
 from .strategies import lambda_b_programs
 

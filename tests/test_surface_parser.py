@@ -321,3 +321,75 @@ class TestNestingLimit:
         assert f"nesting deeper than {MAX_NESTING} levels" in by_name["a_deep.grad"]["error"]
         assert by_name["b_square.grad"]["value"] == 36
         assert aggregate["outcomes"]["error"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Top-level definitions count toward the nesting limit
+# ---------------------------------------------------------------------------
+
+
+def _defines(count: int) -> str:
+    """``count`` flat ``(define xN N)`` lines and a main expression naming
+    the last one: elaboration nests them ``count`` lets deep."""
+    return "".join(f"(define x{i} {i})\n" for i in range(count)) + f"x{count - 1}\n"
+
+
+class TestDefinitionBudget:
+    def test_the_limit_in_definitions_is_accepted_and_one_more_is_a_parse_error(self):
+        assert len(parse_program(_defines(MAX_NESTING)).definitions) == MAX_NESTING
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels") as err:
+            parse_program(_defines(MAX_NESTING + 1))
+        # At the opening parenthesis of the first define past the limit.
+        assert (err.value.line, err.value.column) == (MAX_NESTING + 1, 1)
+
+    def test_definitions_and_nesting_share_one_budget(self):
+        prefix = _defines(MAX_NESTING // 2).rsplit("\n", 2)[0] + "\n"
+        room = MAX_NESTING - MAX_NESTING // 2
+        parse_program(prefix + "(+ 1 " * room + "0" + ")" * room)
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_program(prefix + "(+ 1 " * (room + 1) + "0" + ")" * (room + 1))
+
+    def test_every_engine_and_semantics_runs_the_limit_in_definitions(self):
+        from repro.api import run
+
+        source = _defines(MAX_NESTING)
+        for engine, calculus, semantics in ENGINE_MATRIX:
+            result = run(source, engine=engine, calculus=calculus, semantics=semantics,
+                         cache=False)
+            assert (result.kind, result.value) == ("value", MAX_NESTING - 1), \
+                (engine, calculus, semantics)
+
+    @pytest.mark.parametrize("count", [MAX_NESTING + 1, 1000])
+    def test_past_the_limit_exits_2_in_the_cli(self, tmp_path, capsys, count):
+        from repro.cli import main
+
+        path = tmp_path / "defines.grad"
+        path.write_text(_defines(count))
+        for engine in ("machine", "rvm"):
+            assert main(["run", "--engine", engine, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"parse error: nesting deeper than {MAX_NESTING} levels "
+                           f"at line {MAX_NESTING + 1}, column 1\n")
+
+    def test_the_limit_runs_in_the_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "defines.grad"
+        path.write_text(_defines(MAX_NESTING))
+        for engine in ("machine", "rvm"):
+            assert main(["run", "--engine", engine, str(path)]) == 0
+            assert capsys.readouterr().out == f"{MAX_NESTING - 1} : int\n"
+
+    def test_the_limit_and_one_past_it_in_a_batch(self, tmp_path):
+        from repro.batch import run_batch
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a_at_limit.grad").write_text(_defines(MAX_NESTING))
+        (corpus / "b_past_limit.grad").write_text(_defines(MAX_NESTING + 1))
+        results, aggregate = run_batch([corpus], workers=1, cache_dir=str(tmp_path / "cache"))
+        by_name = {r["program"].rsplit("/", 1)[-1]: r for r in results}
+        assert by_name["a_at_limit.grad"]["value"] == MAX_NESTING - 1
+        assert by_name["b_past_limit.grad"]["kind"] == "error"
+        assert f"nesting deeper than {MAX_NESTING} levels" in by_name["b_past_limit.grad"]["error"]
+        assert aggregate["outcomes"]["error"] == 1
